@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,17 +88,24 @@ class GaussianSystem:
         """Max entrywise error of ``chol @ chol.T`` against gram + jitter."""
         return float(np.max(np.abs(self.chol @ self.chol.T - self.reconstruction_target())))
 
-    def sample_matrix(self, n: int, seed: int, workers: int = 1) -> np.ndarray:
+    def sampler(self, seed: int) -> Callable[[int], np.ndarray]:
+        """The function ``k -> the next k joint draws`` of one ``PCG64(seed)`` stream."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        idx = np.flatnonzero(self.active)
+        factor = self.chol[np.ix_(idx, idx)].T
+
+        def draw(k: int) -> np.ndarray:
+            out = np.zeros((k, len(self.words)))
+            out[:, idx] = rng.standard_normal((k, idx.size)) @ factor
+            return out
+
+        return draw
+
+    def sample_matrix(self, n: int, seed: int) -> np.ndarray:
         """``n`` joint draws as an (n, m) array, deterministic in ``seed``."""
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        idx = np.flatnonzero(self.active)
-        out = np.zeros((n, len(self.words)))
-        if idx.size:
-            z = rng.standard_normal((n, idx.size))
-            out[:, idx] = z @ self.chol[np.ix_(idx, idx)].T
-        return out
+        return self.sampler(seed)(n)
 
     def sample(self, seed: int) -> np.ndarray:
         return self.sample_matrix(1, seed)[0]

@@ -10,9 +10,9 @@ Exact routes come first: the orientation system averages the profile
 correlation against the binomial path-sum law, and the Gaussian system
 uses the erf/quadrature closed forms.  Monte Carlo is the independent
 cross-check, driven by the actual skew machinery (orientation seeds
-through the edge PRF, Gaussian draws through the Cholesky factor), with
-seed ranges partitioned across workers so results are bit-identical for a
-fixed (seed, worker count).
+through the edge PRF, Gaussian draws through the Cholesky factor), streamed
+in fixed-size blocks (:mod:`treeskew.parallel`) so that memory stays bounded
+and results are bit-identical for a fixed seed at any worker count.
 
 CSV schemas (all reals printed with 17 significant digits):
 
@@ -27,14 +27,12 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Optional, Union
 
 from .gaussian import gram_matrix
 from .numerics import interval_overlap, shifted_overlap_array, shifted_overlap_mean
-from .orientation import cocycle_samples, path_sum_law
-from .parallel import map_blocks
+from .orientation import cocycle_sampler, path_sum_law
+from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector
 from .words import Word, shell, shell_size, sample_word
 
@@ -98,7 +96,7 @@ def gaussian_system(rank: int = 2) -> SystemSpec:
 
 @dataclass(frozen=True)
 class MCBudget:
-    """Monte Carlo budget: sample count, base seed, worker partition."""
+    """Monte Carlo budget: sample count, base seed, worker threads (no effect on results)."""
 
     samples: int = 100_000
     seed: int = 0
@@ -142,33 +140,20 @@ def _check_support(system: SystemSpec, *profiles: ProfileVector) -> None:
                 )
 
 
-def _blocked_mean_stderr(values: np.ndarray, workers: int) -> tuple[float, float]:
-    """Mean and standard error with a fixed-order blocked reduction."""
-    n = len(values)
-    parts = map_blocks(
-        lambda lo, hi: (
-            float(np.sum(values[lo:hi])),
-            float(np.sum(np.square(values[lo:hi]))),
-        ),
-        n,
-        workers,
-    )
-    total = math.fsum(s for s, _ in parts)
-    total_sq = math.fsum(q for _, q in parts)
-    mean = total / n
-    if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    else:
-        var = 0.0
-    return mean, math.sqrt(var / n)
+def _mc_estimate(system: SystemSpec, g: Word, budget: Optional[MCBudget], kernel):
+    """Monte Carlo mean of ``kernel(shift)`` over the skew shifts of ``g``.
 
-
-def _mc_shifts(system: SystemSpec, g: Word, budget: MCBudget) -> np.ndarray:
-    """Cocycle shift samples drawn through the actual skew machinery."""
+    Orientation blocks may run on any worker; the Gaussian draws are one
+    sequential stream, so their blocks run in order on one thread.
+    """
+    budget = budget or MCBudget()
     if system.kind == "orientation":
-        draws = cocycle_samples(g, system.p, budget.seed, budget.samples, budget.workers)
-        return draws.astype(np.float64)
-    return gram_matrix([g]).sample_matrix(budget.samples, budget.seed)[:, 0]
+        draws, workers = cocycle_sampler(g, system.p, budget.seed), budget.workers
+    else:
+        draw = gram_matrix([g]).sampler(budget.seed)
+        draws, workers = (lambda lo, hi: draw(hi - lo)[:, 0]), 1
+    parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples, workers)
+    return CoefficientEstimate(*mean_stderr(parts), "monte-carlo", budget.samples, budget.seed)
 
 
 def coefficient(
@@ -200,11 +185,7 @@ def coefficient(
             return CoefficientEstimate(value, 0.0, "exact", 0, seed)
         value, how = xi.gaussian_mean(eta, math.sqrt(len(g)))
         return CoefficientEstimate(value, 0.0, how, 0, seed)
-    budget = budget or MCBudget()
-    shifts = _mc_shifts(system, g, budget)
-    vals = xi.correlation_array(eta, shifts)
-    mean, stderr = _blocked_mean_stderr(vals, budget.workers)
-    return CoefficientEstimate(mean, stderr, "monte-carlo", budget.samples, budget.seed)
+    return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
 
 
 def _set_interval(profile: ProfileVector) -> tuple[float, float]:
@@ -254,11 +235,9 @@ def symmetric_difference_mc(
         raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
     interval = _set_interval(a)
     measure = interval[1] - interval[0]
-    budget = budget or MCBudget()
-    shifts = _mc_shifts(system, g, budget)
-    vals = 2.0 * (measure - shifted_overlap_array(shifts, interval, interval))
-    mean, stderr = _blocked_mean_stderr(vals, budget.workers)
-    return CoefficientEstimate(mean, stderr, "monte-carlo", budget.samples, budget.seed)
+    return _mc_estimate(
+        system, g, budget, lambda s: 2.0 * (measure - shifted_overlap_array(s, interval, interval))
+    )
 
 
 @dataclass(frozen=True)
@@ -311,27 +290,14 @@ class DecayCurve:
 _ENUMERATION_LIMIT = 100_000
 
 
-def _shell_words(
-    length: int, rank: int, cap: Optional[int], seed: int
-) -> list[Word]:
-    size = shell_size(length, rank)
-    if cap is None:
-        if size > _ENUMERATION_LIMIT:
-            raise ValueError(
-                f"shell of length {length} has {size} words; pass per_shell_cap"
-            )
-        return shell(length, rank)
-    if size <= cap:
+def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> list[Word]:
+    if cap is None or shell_size(length, rank) <= cap:
         return shell(length, rank)
     rng = random.Random(f"shell:{seed}:{length}")
-    chosen: list[Word] = []
-    seen = set()
+    chosen: dict[Word, None] = {}  # distinct words in first-drawn order
     while len(chosen) < cap:
-        w = sample_word(length, rank, rng)
-        if w not in seen:
-            seen.add(w)
-            chosen.append(w)
-    return chosen
+        chosen[sample_word(length, rank, rng)] = None
+    return list(chosen)
 
 
 def decay_sweep(
@@ -352,6 +318,10 @@ def decay_sweep(
     if max_radius < 1:
         raise ValueError(f"max_radius must be >= 1, got {max_radius}")
     _check_support(system, profile)
+    for length in range(1, max_radius + 1):
+        size = shell_size(length, system.rank)
+        if per_shell_cap is None and size > _ENUMERATION_LIMIT:
+            raise ValueError(f"shell of length {length} has {size} words; pass per_shell_cap")
     seed = budget.seed if budget is not None else 0
     points = []
     for length in range(1, max_radius + 1):

@@ -30,7 +30,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .parallel import map_blocks
-from .rng import prf_uniform, prf_uniform_array, sample_seed, sample_seeds_array
+from .rng import prf_bits, prf_uniform, sample_seeds_array
 from .words import CanonicalEdge, GeodesicPath, Word, act_on_edge, geodesic
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "path_sum_law",
     "exact_window_coefficient",
     "exact_gaussian_bound",
+    "cocycle_sampler",
     "cocycle_samples",
 ]
 
@@ -258,32 +259,35 @@ def exact_gaussian_bound(g: Word, p: float) -> float:
     return law.expectation(lambda s: math.exp(-0.5 * s * s))
 
 
-def cocycle_samples(
-    g: Word, p: float, seed: int, n: int, workers: int = 1
-) -> np.ndarray:
-    """``n`` i.i.d. draws of the cocycle value of ``g``, as an int64 array.
+def cocycle_sampler(g: Word, p: float, seed: int) -> Callable[[int, int], np.ndarray]:
+    """The function ``(lo, hi) -> draws lo..hi-1`` of the cocycle of ``g``.
 
-    Draw ``i`` evaluates the orientation with seed ``sample_seed(seed, i)``
-    on the geodesic edges of ``g``, vectorized; the output is bit-identical
-    to a scalar :func:`group_cocycle` loop over those seeds, and does not
-    depend on the worker partition (only float reductions downstream do).
+    Draw ``i`` reads the orientation with seed ``sample_seed(seed, i)`` on the
+    outward geodesic of ``g``, where every travel flag is +1, so the cocycle
+    is ``L - 2 * (edges pointing toward the base vertex)``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    path = geodesic(Word.identity(g.rank), g)
+    fps = np.array([edge.fingerprint for edge, _ in path.steps], dtype=np.uint64)[:, None]
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+
+    def draws(lo: int, hi: int) -> np.ndarray:
+        # one row per edge, so the count below sums whole contiguous rows
+        toward = prf_bits(sample_seeds_array(seed, lo, hi), fps) < threshold
+        return (len(fps) - 2 * toward.sum(axis=0, dtype=np.int32)).astype(np.int64)
+
+    return draws
+
+
+def cocycle_samples(g: Word, p: float, seed: int, n: int, workers: int = 1) -> np.ndarray:
+    """``n`` i.i.d. draws of the cocycle value of ``g``, as an int64 array.
+
+    These are the draws of :func:`cocycle_sampler` over fixed blocks: the
+    output is bit-identical to a scalar :func:`group_cocycle` loop over the
+    seeds ``sample_seed(seed, i)``, at any worker count.
+    """
+    draws = cocycle_sampler(g, p, seed)
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
-    path = geodesic(Word.identity(g.rank), g)
-    out = np.zeros(n, dtype=np.int64)
-    if not path.steps or n == 0:
-        return out
-    fps = np.array([edge.fingerprint for edge, _ in path.steps], dtype=np.uint64)
-    travels = np.array([travel for _, travel in path.steps], dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        seeds = sample_seeds_array(seed, lo, hi)
-        u = prf_uniform_array(seeds[:, None], fps[None, :])
-        signs = np.where(u < p, -1, 1).astype(np.int64)
-        out[lo:hi] = signs @ travels
-
-    map_blocks(fill, n, workers)
-    return out
+    return np.concatenate([np.zeros(0, dtype=np.int64), *map_blocks(draws, n, workers)])

@@ -1,37 +1,54 @@
-"""Seed-range partitioning for reproducible Monte Carlo loops.
+"""Fixed-size sample blocks and their worker-independent reduction.
 
-Work is split into one contiguous block per worker and partial results are
-combined in block order, so a run is bit-identical for a fixed
-(seed, worker count) regardless of thread scheduling.
+``n`` samples are cut into consecutive blocks of :data:`BLOCK_SIZE`
+whatever the worker count; each block is reduced to ``(count, mean, M2)``
+and the blocks are merged in block order with the pairwise update of
+Chan, Golub and LeVeque (1979).  Workers only choose which thread computes
+which block, so results are bit-identical at any worker count, and memory
+holds one block per worker.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
-
-def block_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into ``workers`` contiguous (lo, hi) blocks."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    workers = max(1, min(workers, n if n else 1))
-    step, extra = divmod(n, workers)
-    bounds = []
-    lo = 0
-    for i in range(workers):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+BLOCK_SIZE = 1 << 12  # small enough that one block's PRF words stay in cache
 
 
 def map_blocks(fn: Callable[[int, int], T], n: int, workers: int = 1) -> list[T]:
-    """Apply ``fn(lo, hi)`` to every block, returning results in block order."""
-    bounds = block_bounds(n, workers)
+    """Apply ``fn(lo, hi)`` to the blocks covering ``range(n)``, in block order.
+
+    With one worker the blocks also run in that order, on the calling thread.
+    """
+    bounds = [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
     if len(bounds) <= 1 or workers <= 1:
         return [fn(lo, hi) for lo, hi in bounds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(b[0], b[1]), bounds))
+        return list(pool.map(fn, *zip(*bounds)))
+
+
+def block_moments(x: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of a nonempty block, with ``M2 = sum (x - mean)^2``.
+
+    Sums run over offsets from the first value, so a constant block gets
+    that value as its mean and ``M2 = 0`` exactly.
+    """
+    d = x - x[0]
+    s = float(np.sum(d))
+    return len(x), float(x[0]) + s / len(x), max(0.0, float(np.sum(d * d)) - s * s / len(x))
+
+
+def mean_stderr(blocks: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
+    """Mean and standard error of block moments, merged in the given order."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, mb, m2b in blocks:
+        delta, n = mb - mean, n + nb
+        mean += delta * (nb / n)
+        m2 += m2b + delta * delta * (n - nb) * (nb / n)
+    return mean, (math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0)

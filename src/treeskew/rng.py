@@ -30,7 +30,10 @@ def mix64(x: int) -> int:
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` on a uint64 array."""
-    x = x.astype(np.uint64, copy=True)
+    return _mix64_inplace(x.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_A)
     x ^= x >> np.uint64(27)
@@ -53,12 +56,23 @@ def prf_uniform(seed: int, fingerprint: int) -> float:
     return (x >> 11) * 2.0**-53
 
 
-def prf_uniform_array(seeds: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`prf_uniform`; inputs broadcast as uint64 arrays."""
+def prf_bits(seeds: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
+    """The 53-bit integers ``k`` with ``prf_uniform == k * 2**-53``, as uint64.
+
+    Inputs broadcast as uint64 arrays.  ``prf_uniform < p`` holds exactly
+    when ``k < ceil(p * 2**53)``, so callers can compare integers.
+    """
     x = (np.asarray(seeds, dtype=np.uint64) * np.uint64(GOLDEN)) ^ np.asarray(
         fingerprints, dtype=np.uint64
     )
-    return (mix64_array(x) >> np.uint64(11)) * 2.0**-53
+    x = _mix64_inplace(x)
+    x >>= np.uint64(11)
+    return x
+
+
+def prf_uniform_array(seeds: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`prf_uniform`; inputs broadcast as uint64 arrays."""
+    return prf_bits(seeds, fingerprints) * 2.0**-53
 
 
 def sample_seed(base: int, index: int) -> int:

@@ -211,28 +211,32 @@ def test_08_projection_defect_identity(capsys):
 
 
 def test_09_cli_determinism(capsys, tmp_path):
+    # an odd sample count that spans several sample blocks and fills none
+    # of them exactly, so any worker-dependent split of the sums would show
+    mc = ["decay", "--method", "mc", "--max-radius", "4", "--shell-cap", "4",
+          "--samples", str(2 * 2**16 + 1), "--seed", "11"]
     cases = [
-        ("decay-exact", ["decay"]),
-        (
-            "decay-mc",
-            ["decay", "--method", "mc", "--max-radius", "6", "--shell-cap", "6",
-             "--samples", "20000", "--workers", "3", "--seed", "11"],
+        ("decay-exact", [["decay"]] * 2),
+        *(
+            (f"decay-mc-{system}",
+             [mc + ["--system", system, "--workers", str(k)] for k in (1, 2, 3, 3)])
+            for system in ("orientation", "gaussian")
         ),
-        ("window", ["window"]),
-        ("gram", ["gram"]),
-        ("hs", ["hs", "--seed", "3"]),
+        ("window", [["window"]] * 2),
+        ("gram", [["gram"]] * 2),
+        ("hs", [["hs", "--seed", "3"]] * 2),
     ]
 
     def body():
-        for name, argv in cases:
+        for name, runs in cases:
             outputs = []
-            for attempt in range(2):
+            for attempt, argv in enumerate(runs):
                 dest = tmp_path / f"{name}-{attempt}.csv"
                 assert cli_main(argv + ["--out", str(dest)]) == 0
                 outputs.append(dest.read_bytes())
-            assert outputs[0] and outputs[0] == outputs[1], name
+            assert outputs[0] and all(out == outputs[0] for out in outputs), name
 
-    scored(capsys, "CLI subcommands are byte-identical across reruns", 120, body)
+    scored(capsys, "CLI subcommands are byte-identical across reruns and worker counts", 120, body)
 
 
 def test_10_symmetric_difference_identity(capsys):

@@ -1,11 +1,15 @@
+import csv
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_letters
+from treeskew import koopman
+from treeskew.cli import main as cli_main
 from treeskew.gaussian import gaussian_window_coefficient, interval_overlap_measure
 from treeskew.koopman import (
     CoefficientEstimate,
@@ -22,6 +26,7 @@ from treeskew.koopman import (
     symmetric_difference_mc,
 )
 from treeskew.orientation import exact_gaussian_bound, exact_window_coefficient
+from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, parse_word
 
@@ -126,6 +131,46 @@ class TestExactRouting:
 
 
 class TestMonteCarlo:
+    def test_constant_samples_have_zero_stderr(self, tmp_path):
+        # every draw for a length-1 word has |shift| = 1, so all samples of
+        # the gaussian-profile kernel are equal
+        dest = tmp_path / "decay.csv"
+        argv = ["decay", "--method", "mc", "--max-radius", "2", "--shell-cap", "2",
+                "--samples", "20000", "--out", str(dest)]
+        assert cli_main(argv) == 0
+        rows = [row for row in csv.DictReader(io.StringIO(dest.read_text())) if row["radius"] == "1"]
+        assert sorted(row["word"] for row in rows) == ["B", "b"]
+        prof = ProfileVector.gaussian()
+        kernel_at_one = prof.correlation(prof, 1.0)
+        assert kernel_at_one == coefficient(OSYS, w("b"), prof, prof).value
+        assert kernel_at_one == pytest.approx(math.exp(-0.5), rel=1e-13)
+        for row in rows:
+            assert float(row["stderr"]) == 0.0
+            assert float(row["value"]) == kernel_at_one
+
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_memory_does_not_grow_with_samples(self, system):
+        prof = ProfileVector.gaussian()
+        g = Word((1, 2) * 10, 2)
+        tracemalloc.start()
+        try:
+            coefficient(system, g, prof, prof, budget=MCBudget(1_000_000, 5), method="mc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding the 1M draws as float64 alone would take 8 MB
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_worker_count_invisible_across_blocks(self, system):
+        win = ProfileVector.window(3)
+        n = 5 * BLOCK_SIZE + 17
+        one, *more = (
+            coefficient(system, w("abA"), win, win, budget=MCBudget(n, 8, k), method="mc")
+            for k in (1, 2, 3)
+        )
+        assert all((e.value, e.stderr) == (one.value, one.stderr) for e in more)
+
     def test_reproducible_and_worker_invariant(self):
         win = ProfileVector.window(2)
         a = coefficient(OSYS, w("ab"), win, win, budget=MCBudget(20_000, 3, 1), method="mc")
@@ -277,6 +322,14 @@ class TestDecaySweep:
     def test_huge_shell_needs_cap(self):
         with pytest.raises(ValueError, match="per_shell_cap"):
             decay_sweep(OSYS, ProfileVector.gaussian(), 11)
+
+    def test_shell_cap_checked_before_any_coefficient(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coefficient was evaluated before the shell check")
+
+        monkeypatch.setattr(koopman, "coefficient", refuse)
+        with pytest.raises(ValueError, match="length 11 has 236196 words"):
+            decay_sweep(OSYS, ProfileVector.gaussian(), 12, budget=MCBudget(10), method="mc")
 
 
 class TestAlmostInvariantSweep:

@@ -18,6 +18,7 @@ from treeskew.orientation import (
     pushforward,
     skew_step,
 )
+from treeskew.parallel import BLOCK_SIZE
 from treeskew.rng import sample_seed
 from treeskew.words import CanonicalEdge, Word, ball_edges, parse_word
 
@@ -314,9 +315,12 @@ class TestGaussianBound:
 class TestCocycleSamples:
     def test_matches_scalar_cocycle_loop(self):
         g, p, seed = w("abAB"), 0.7, 77
-        draws = cocycle_samples(g, p, seed, 200)
+        n = BLOCK_SIZE + 200
+        draws = cocycle_samples(g, p, seed, n)
+        assert np.array_equal(cocycle_samples(g, p, seed, n, workers=2), draws)
         measure = OrientationMeasure(p)
-        for i in range(200):
+        # the first draws and those on both sides of the first block boundary
+        for i in [*range(200), *range(BLOCK_SIZE - 100, n)]:
             omega = Orientation(sample_seed(seed, i), measure)
             assert group_cocycle(omega, g) == draws[i]
 
