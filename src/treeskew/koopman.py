@@ -30,7 +30,12 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .gaussian import gram_matrix
-from .numerics import interval_overlap, shifted_overlap_array, shifted_overlap_mean
+from .numerics import (
+    expected_excess,
+    interval_overlap,
+    shifted_overlap_array,
+    shifted_overlap_mean,
+)
 from .orientation import cocycle_sampler, path_sum_law
 from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector
@@ -177,15 +182,27 @@ def coefficient(
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     _check_support(system, xi, eta)
-    seed = budget.seed if budget is not None else 0
     if method in ("auto", "exact"):
-        if system.kind == "orientation":
-            law = path_sum_law(len(g), system.p)
-            value = law.expectation(lambda s: xi.correlation(eta, float(s)))
-            return CoefficientEstimate(value, 0.0, "exact", 0, seed)
-        value, how = xi.gaussian_mean(eta, math.sqrt(len(g)))
-        return CoefficientEstimate(value, 0.0, how, 0, seed)
+        seed = budget.seed if budget is not None else 0
+        return _length_coefficient(system, len(g), xi, eta, seed)
     return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
+
+
+def _length_coefficient(
+    system: SystemSpec, length: int, xi: ProfileVector, eta: ProfileVector, seed: int
+) -> CoefficientEstimate:
+    """Exact or quadrature ``<pi(g) xi, eta>`` shared by every word with ``|g| = length``.
+
+    In both systems the cocycle shift of ``g`` is a sum over the outward
+    geodesic, so its law, and with it the coefficient, depends on ``g``
+    only through its length.
+    """
+    if system.kind == "orientation":
+        law = path_sum_law(length, system.p)
+        value = law.expectation(lambda s: xi.correlation(eta, float(s)))
+        return CoefficientEstimate(value, 0.0, "exact", 0, seed)
+    value, how = xi.gaussian_mean(eta, math.sqrt(length))
+    return CoefficientEstimate(value, 0.0, how, 0, seed)
 
 
 def _set_interval(profile: ProfileVector) -> tuple[float, float]:
@@ -288,6 +305,7 @@ class DecayCurve:
 
 
 _ENUMERATION_LIMIT = 100_000
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> list[Word]:
@@ -311,12 +329,18 @@ def decay_sweep(
     """Evaluate the diagonal coefficient over shells ``L = 1..max_radius``.
 
     Shells are enumerated exhaustively when they fit under the cap and
-    sampled uniformly (seeded, without replacement) otherwise.  The
-    min/mean/max aggregates should collapse to a single value per shell:
-    any spread would reveal a dependence on word shape beyond length.
+    sampled uniformly (seeded, without replacement) otherwise.  The exact
+    and quadrature routes evaluate once per length and share that estimate
+    across the words of the shell, so their min/mean/max aggregates agree
+    by construction.  Only the Monte Carlo route evaluates each word
+    through its own edge draws, and there the spread is a real check: any
+    spread beyond the noise would reveal a dependence on word shape beyond
+    length.
     """
     if max_radius < 1:
         raise ValueError(f"max_radius must be >= 1, got {max_radius}")
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
     _check_support(system, profile)
     for length in range(1, max_radius + 1):
         size = shell_size(length, system.rank)
@@ -325,9 +349,14 @@ def decay_sweep(
     seed = budget.seed if budget is not None else 0
     points = []
     for length in range(1, max_radius + 1):
-        for w in _shell_words(length, system.rank, per_shell_cap, seed):
-            est = coefficient(system, w, profile, profile, budget=budget, method=method)
-            points.append(DecayPoint(length, w, est))
+        words = _shell_words(length, system.rank, per_shell_cap, seed)
+        if method == "mc":
+            for w in words:
+                est = coefficient(system, w, profile, profile, budget=budget, method="mc")
+                points.append(DecayPoint(length, w, est))
+        else:
+            est = _length_coefficient(system, length, profile, profile, seed)
+            points.extend(DecayPoint(length, w, est) for w in words)
     return DecayCurve(system, profile, tuple(points))
 
 
@@ -347,6 +376,23 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
+def _window_defect(system: SystemSpec, length: int, n: int) -> float:
+    """Window defect ``1 - <pi(g) xi_n, xi_n>`` at ``|g| = length``, computed directly.
+
+    The defect is ``E[min(|S|, 2n)] / (2n)`` for the shift ``S`` of ``g``:
+    the binomial path-sum expectation for the orientation system, and
+    ``(sigma sqrt(2/pi) - 2 E[(X - 2n)+]) / (2n)`` with ``sigma = sqrt(L)``
+    for the Gaussian one.  Subtracting a coefficient close to 1 from 1
+    would cancel most of its digits instead.
+    """
+    width = 2.0 * n
+    if system.kind == "orientation":
+        law = path_sum_law(length, system.p)
+        return law.expectation(lambda s: min(abs(s), width)) / width
+    sigma = math.sqrt(length)
+    return (sigma * _SQRT_2_OVER_PI - 2.0 * expected_excess(width, sigma)) / width
+
+
 def almost_invariant_sweep(
     system: SystemSpec, ball_radius: int, window_sizes: Iterable[int]
 ) -> SweepTable:
@@ -354,31 +400,29 @@ def almost_invariant_sweep(
 
     Window coefficients depend on a word only through its length in both
     systems, so the sup over ``ball(R)`` is the max over lengths
-    ``0..R``, evaluated on one representative per length.  The bound
-    column is the certified a priori rate: ``R / (2n)`` for the
-    orientation system and ``sqrt(R) sqrt(2/pi) / (2n)`` for the Gaussian
-    one; the sup stays below it up to roundoff (for the Gaussian system
-    the true gap shrinks like a normal tail, so at large ``n / sqrt(R)``
-    the two columns agree to machine precision).
+    ``0..R``.  The bound column is the certified a priori rate:
+    ``R / (2n)`` for the orientation system and
+    ``sqrt(R) sqrt(2/pi) / (2n)`` for the Gaussian one.  The defect is
+    computed directly (see :func:`_window_defect`), so ``sup_defect <=
+    bound`` holds in floating point with no slack; for the Gaussian system
+    it holds by construction, since the defect subtracts a nonnegative
+    excess from the bound's own numerator.
     """
     if ball_radius < 0:
         raise ValueError(f"ball_radius must be >= 0, got {ball_radius}")
     sizes = [int(n) for n in window_sizes]
     if not sizes:
         raise ValueError("at least one window size is required")
+    if min(sizes) < 1:
+        raise ValueError(f"window sizes must be >= 1, got {sizes}")
     rows = []
     for n in sizes:
-        profile = ProfileVector.window(n)
-        defects = [0.0]
-        for length in range(1, ball_radius + 1):
-            rep = Word((1,) * length, system.rank)
-            est = coefficient(system, rep, profile, profile)
-            defects.append(1.0 - est.value)
+        defect = max(_window_defect(system, length, n) for length in range(ball_radius + 1))
         if system.kind == "orientation":
             bound = ball_radius / (2.0 * n)
         else:
-            bound = math.sqrt(ball_radius) * math.sqrt(2.0 / math.pi) / (2.0 * n)
-        rows.append(SweepRow(n, max(defects), bound))
+            bound = math.sqrt(ball_radius) * _SQRT_2_OVER_PI / (2.0 * n)
+        rows.append(SweepRow(n, defect, bound))
     return SweepTable(system, ball_radius, tuple(rows))
 
 
@@ -405,12 +449,13 @@ def _write_csv(obj, fh) -> None:
         writer.writerow(
             ["system", "profile", "radius", "word", "method", "value", "stderr", "samples", "seed"]
         )
+        system, profile = obj.system.label(), obj.profile.label()
         for pt in obj.points:
             est = pt.estimate
             writer.writerow(
                 [
-                    obj.system.label(),
-                    obj.profile.label(),
+                    system,
+                    profile,
                     pt.radius,
                     str(pt.word),
                     est.method,

@@ -36,7 +36,9 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature of ``f`` on [a, b] to absolute tolerance.
 
     Classic recursive bisection with the Richardson correction term; each
-    half inherits half the tolerance budget.
+    half inherits half the tolerance budget.  Raises ``ArithmeticError``
+    when a subinterval still misses its tolerance after ``max_depth``
+    bisections, rather than returning an unconverged value.
     """
     if a == b:
         return 0.0
@@ -54,8 +56,13 @@ def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
     left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
     right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
+    if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
+    if depth <= 0:
+        raise ArithmeticError(
+            f"adaptive Simpson exhausted its depth on [{a!r}, {b!r}]: "
+            f"error estimate {abs(delta) / 15.0!r} > tolerance {tol!r}"
+        )
     half = 0.5 * tol
     return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
         f, m, b, fm, frm, fb, right, half, depth - 1
@@ -96,7 +103,9 @@ def expected_excess(t: float, sigma: float) -> float:
     if sigma == 0.0:
         return max(-t, 0.0)
     z = t / sigma
-    return sigma * _INV_SQRT_2PI * math.exp(-0.5 * z * z) - t * upper_tail(z)
+    # both terms underflow near z = 38, where roundoff can leave a subnormal
+    # negative; the excess itself is never negative
+    return max(sigma * _INV_SQRT_2PI * math.exp(-0.5 * z * z) - t * upper_tail(z), 0.0)
 
 
 def gaussian_expectation(

@@ -10,8 +10,8 @@ the cocycle shift.  Four families are supported:
 * ``gaussian``: ``exp(-t^2)``,
 * ``cauchy``: ``1 / (1 + t^2)``.
 
-The gaussian and cauchy norms are finite constants computed once by
-quadrature; the cauchy correlation kernel has the candidate closed form
+The gaussian and cauchy squared norms are the closed forms ``sqrt(pi/2)``
+and ``pi/2``; the cauchy correlation kernel has the candidate closed form
 ``2 pi / (4 + s^2)``, which is validated against this module's own
 quadrature the first time it is trusted.
 """
@@ -81,16 +81,14 @@ def cauchy_kernel(x: float) -> float:
     return 2.0 * math.pi / (4.0 + x * x)
 
 
-@lru_cache(maxsize=1)
 def cauchy_norm_sq() -> float:
-    """``integral dt / (1 + t^2)^2`` by quadrature (equals pi/2)."""
-    return adaptive_simpson(lambda u: math.cos(u) ** 2, -_HALF_PI, _HALF_PI, 1e-12)
+    """``integral dt / (1 + t^2)^2 = pi/2``."""
+    return _HALF_PI
 
 
-@lru_cache(maxsize=1)
 def gaussian_norm_sq() -> float:
-    """``integral exp(-2 t^2) dt`` by quadrature (equals sqrt(pi/2))."""
-    return adaptive_simpson(lambda t: math.exp(-2.0 * t * t), -10.0, 10.0, 1e-12)
+    """``integral exp(-2 t^2) dt = sqrt(pi/2)``."""
+    return _SQRT_HALF_PI
 
 
 @dataclass(frozen=True)

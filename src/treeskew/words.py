@@ -13,6 +13,7 @@ no floating point anywhere in the geometry.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -296,29 +297,15 @@ def letter_order(rank: int) -> list[int]:
 
 def iter_words(rank: int) -> Iterator[Word]:
     """Yield every reduced word in breadth-first order (infinite)."""
-    order = letter_order(rank)
-    current = [Word.identity(rank)]
-    while True:
-        yield from current
-        nxt = []
-        for w in current:
-            last = w.letters[-1] if w.letters else 0
-            for s in order:
-                if s != -last:
-                    nxt.append(Word(w.letters + (s,), rank))
-        current = nxt
+    for length in itertools.count():
+        yield from shell(length, rank)
 
 
 def ball(radius: int, rank: int) -> list[Word]:
     """All words of length <= radius, in breadth-first order."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    out = []
-    for w in iter_words(rank):
-        if len(w) > radius:
-            break
-        out.append(w)
-    return out
+    return [w for length in range(radius + 1) for w in shell(length, rank)]
 
 
 def ball_size(radius: int, rank: int) -> int:
@@ -329,21 +316,33 @@ def ball_size(radius: int, rank: int) -> int:
     return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
 
 
+def _reduced(letters: tuple[int, ...], rank: int) -> Word:
+    """A :class:`Word` from letters the caller has built freely reduced.
+
+    Skips the checks of ``Word.__post_init__``; only enumeration code that
+    never appends the inverse of the last letter may call it.
+    """
+    w = object.__new__(Word)
+    w.__dict__.update(letters=letters, rank=rank)
+    return w
+
+
 def shell(length: int, rank: int) -> list[Word]:
     """All words of exactly the given length, in enumeration order."""
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     order = letter_order(rank)
-    current = [Word.identity(rank)]
+    current: list[tuple[int, ...]] = [()]
     for _ in range(length):
-        nxt = []
-        for w in current:
-            last = w.letters[-1] if w.letters else 0
-            for s in order:
-                if s != -last:
-                    nxt.append(Word(w.letters + (s,), rank))
-        current = nxt
-    return current
+        current = [
+            letters + (s,)
+            for letters in current
+            for s in order
+            if not letters or s != -letters[-1]
+        ]
+    return [_reduced(letters, rank) for letters in current]
 
 
 def shell_size(length: int, rank: int) -> int:

@@ -328,8 +328,45 @@ class TestDecaySweep:
             raise AssertionError("a coefficient was evaluated before the shell check")
 
         monkeypatch.setattr(koopman, "coefficient", refuse)
-        with pytest.raises(ValueError, match="length 11 has 236196 words"):
-            decay_sweep(OSYS, ProfileVector.gaussian(), 12, budget=MCBudget(10), method="mc")
+        monkeypatch.setattr(koopman, "_length_coefficient", refuse)
+        for method in ("mc", "exact", "auto"):
+            with pytest.raises(ValueError, match="length 11 has 236196 words"):
+                decay_sweep(OSYS, ProfileVector.gaussian(), 12, budget=MCBudget(10), method=method)
+
+    def test_unknown_method_rejected_before_any_shell(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shell was enumerated before the method check")
+
+        monkeypatch.setattr(koopman, "_shell_words", refuse)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            decay_sweep(OSYS, ProfileVector.gaussian(), 3, method="bogus")
+
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_sweep_matches_per_word_coefficient(self, system):
+        profiles = [ProfileVector.gaussian(), ProfileVector.window(3),
+                    ProfileVector.indicator(-1.0, 2.5)]
+        if system.kind == "gaussian":
+            profiles.append(ProfileVector.cauchy())
+        for prof in profiles:
+            for method in ("auto", "exact"):
+                curve = decay_sweep(system, prof, 4, method=method)
+                assert len(curve.points) == sum(4 * 3 ** (L - 1) for L in range(1, 5))
+                for pt in curve.points:
+                    assert pt.estimate == coefficient(system, pt.word, prof, prof, method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_exact_sweep_evaluates_once_per_length(self, monkeypatch, method):
+        lengths = []
+        real = koopman._length_coefficient
+
+        def counted(system, length, *args):
+            lengths.append(length)
+            return real(system, length, *args)
+
+        monkeypatch.setattr(koopman, "_length_coefficient", counted)
+        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method=method)
+        assert lengths == [1, 2, 3, 4, 5, 6]
+        assert len(curve.points) == sum(4 * 3 ** (L - 1) for L in range(1, 7))
 
 
 class TestAlmostInvariantSweep:
@@ -347,7 +384,36 @@ class TestAlmostInvariantSweep:
     def test_gaussian_bound_holds_rowwise(self):
         table = almost_invariant_sweep(GSYS, 4, [10, 100, 1000])
         for row in table.rows:
-            assert row.sup_defect <= row.bound + 1e-12
+            assert row.sup_defect <= row.bound
+
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_bound_holds_at_radius_20_for_huge_windows(self, system):
+        # 1 - coefficient cancels most digits here, which pushed the
+        # gaussian sup past its bound (7.97884561754e-08 > 7.97884560803e-08)
+        table = almost_invariant_sweep(system, 20, [10, 100, 1000, 10_000_000])
+        for row in table.rows:
+            assert 0.0 < row.sup_defect <= row.bound
+
+    def test_gaussian_defect_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        table = almost_invariant_sweep(GSYS, 20, [1, 10, 100, 1000, 10_000_000])
+        with mp.workdps(40):
+            sigma = mp.sqrt(20)
+            for row in table.rows:
+                t = mp.mpf(2 * row.n)
+                excess = sigma * mp.npdf(t / sigma) - t * mp.ncdf(-t / sigma)
+                want = (sigma * mp.sqrt(2 / mp.pi) - 2 * excess) / t
+                assert abs(row.sup_defect - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_defect_is_one_minus_coefficient(self, system):
+        for n in (1, 3, 10, 100):
+            win = ProfileVector.window(n)
+            for length in range(8):
+                table = almost_invariant_sweep(system, length, [n])
+                coef = coefficient(system, Word((1,) * length, 2), win, win)
+                # the defect grows with length, so the sup sits at the radius
+                assert table.rows[0].sup_defect == pytest.approx(1.0 - coef.value, abs=1e-12)
 
     def test_doubling_n_halves_the_defect(self):
         table = almost_invariant_sweep(OSYS, 4, [10, 20])
@@ -364,6 +430,8 @@ class TestAlmostInvariantSweep:
             almost_invariant_sweep(OSYS, -1, [10])
         with pytest.raises(ValueError):
             almost_invariant_sweep(OSYS, 3, [])
+        with pytest.raises(ValueError, match="window size"):
+            almost_invariant_sweep(GSYS, 3, [10, 0])
 
 
 class TestCsvEmission:

@@ -35,6 +35,15 @@ class TestSimpson:
     def test_reversed_bounds_signed(self):
         assert adaptive_simpson(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
 
+    def test_depth_exhaustion_raises(self):
+        # |x|^(-1/2) on [-1, 1] integrates to 4, but its singularity at 0
+        # keeps the middle subintervals from ever meeting a 1e-10 budget
+        def f(x):
+            return 0.0 if x == 0.0 else abs(x) ** -0.5
+
+        with pytest.raises(ArithmeticError, match="depth"):
+            adaptive_simpson(f, -1.0, 1.0, 1e-10)
+
     def test_breakpoints_handle_kinks(self):
         got = integrate_with_breakpoints(abs, -1.0, 2.0, breakpoints=[0.0])
         assert got == pytest.approx(2.5, abs=1e-10)

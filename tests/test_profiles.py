@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from treeskew.numerics import gaussian_expectation, integrate_with_breakpoints
+from treeskew.numerics import adaptive_simpson, gaussian_expectation, integrate_with_breakpoints
 from treeskew.profiles import (
     ProfileVector,
     cauchy_kernel,
@@ -33,16 +33,20 @@ def height_function(profile: ProfileVector):
 
 def correlation_by_quadrature(p1: ProfileVector, p2: ProfileVector, s: float) -> float:
     h1, h2 = height_function(p1), height_function(p2)
-    breakpoints = []
-    for prof, shift in ((p1, s), (p2, 0.0)):
-        if prof.is_interval_kind:
-            a, b = prof.support_interval()
-            breakpoints += [a - shift, b - shift]
+    if p1.is_interval_kind and p2.is_interval_kind:
+        # a product of two indicators is constant between its four jumps, so
+        # the midpoint rule on those pieces is exact; Simpson cannot converge
+        # on a piece whose jump roundoff moves off the breakpoint
+        (a, b), (c, d) = p1.support_interval(), p2.support_interval()
+        pts = sorted({a - s, b - s, c, d})
+        return math.fsum(
+            (hi - lo) * h1(0.5 * (lo + hi) + s) * h2(0.5 * (lo + hi))
+            for lo, hi in zip(pts, pts[1:])
+        )
     # cauchy tails fall off like 1/t^4, so push the truncation far out
     span = 2000.0 if "cauchy" in (p1.kind, p2.kind) else 40.0
-    breakpoints += [-100.0, -10.0, 0.0, 10.0, 100.0]
     return integrate_with_breakpoints(
-        lambda t: h1(t + s) * h2(t), -span, span, 1e-11, breakpoints
+        lambda t: h1(t + s) * h2(t), -span, span, 1e-11, [-100.0, -10.0, 0.0, 10.0, 100.0]
     )
 
 
@@ -57,8 +61,13 @@ class TestKernelConstants:
         assert cauchy_kernel(0.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_norm_constants(self):
-        assert cauchy_norm_sq() == pytest.approx(math.pi / 2.0, abs=1e-10)
-        assert gaussian_norm_sq() == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-10)
+        assert cauchy_norm_sq() == math.pi / 2.0
+        assert gaussian_norm_sq() == math.sqrt(math.pi / 2.0)
+        # the defining integrals, by quadrature (t = tan u for the cauchy one)
+        cauchy = adaptive_simpson(lambda u: math.cos(u) ** 2, -math.pi / 2, math.pi / 2, 1e-12)
+        gauss = adaptive_simpson(lambda t: math.exp(-2.0 * t * t), -10.0, 10.0, 1e-12)
+        assert cauchy_norm_sq() == pytest.approx(cauchy, abs=1e-10)
+        assert gaussian_norm_sq() == pytest.approx(gauss, abs=1e-10)
 
 
 class TestConstruction:

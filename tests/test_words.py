@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from treeskew.words import (
     common_prefix_length,
     distance,
     geodesic,
+    iter_words,
     median,
     parse_word,
     sample_word,
@@ -290,11 +292,27 @@ class TestEnumeration:
         assert shell_size(3, 2) == 36
         assert all(len(v) == 3 for v in shell(3, 2))
         assert len(shell(3, 2)) == 36
+        with pytest.raises(ValueError, match="rank"):
+            shell(1, 0)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_shell_words_pass_the_public_checks(self, rank):
+        # shell() builds its words without Word.__post_init__; the public
+        # constructor must accept each one as the same reduced word
+        for length in range(6):
+            words = shell(length, rank)
+            assert len(words) == len(set(words)) == shell_size(length, rank)
+            for v in words:
+                assert v == Word(v.letters, rank)
+                assert hash(v) == hash(Word(v.letters, rank))
+                assert len(v) == length
 
     def test_ball_is_union_of_shells(self):
         words = ball(4, 2)
         assert len(words) == len(set(words))
         assert sum(shell_size(r, 2) for r in range(5)) == len(words)
+        assert words == [v for r in range(5) for v in shell(r, 2)]
+        assert list(itertools.islice(iter_words(2), len(words))) == words
 
 
 class TestSampling:
