@@ -32,19 +32,12 @@ from .orientation import (
     group_cocycle,
     skew_step,
     path_sum_law,
-    exact_window_coefficient,
-    exact_gaussian_bound,
     cocycle_samples,
 )
 from .gaussian import (
     GaussianSystem,
     gram_matrix,
-    CocycleLaw,
-    gaussian_window_coefficient,
     window_coefficient_by_quadrature,
-    cauchy_coefficient,
-    interval_overlap_measure,
-    gaussian_skew_coefficient,
 )
 from .profiles import ProfileVector
 from .koopman import (
@@ -97,17 +90,10 @@ __all__ = [
     "group_cocycle",
     "skew_step",
     "path_sum_law",
-    "exact_window_coefficient",
-    "exact_gaussian_bound",
     "cocycle_samples",
     "GaussianSystem",
     "gram_matrix",
-    "CocycleLaw",
-    "gaussian_window_coefficient",
     "window_coefficient_by_quadrature",
-    "cauchy_coefficient",
-    "interval_overlap_measure",
-    "gaussian_skew_coefficient",
     "ProfileVector",
     "UnsupportedProfileError",
     "SystemSpec",

@@ -35,6 +35,7 @@ from .gaussian import gram_matrix
 from .koopman import (
     MCBudget,
     SystemSpec,
+    _fmt,
     almost_invariant_sweep,
     decay_sweep,
     emit_csv,
@@ -187,10 +188,6 @@ def _open_out(out: Optional[str]) -> Iterator[TextIO]:
     else:
         with open(out, "w", newline="") as fh:
             yield fh
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def cmd_decay(config: ExperimentConfig) -> int:

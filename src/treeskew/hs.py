@@ -34,17 +34,7 @@ __all__ = [
     "random_unit_vector",
     "rotation_unitary",
     "window_projection_demo",
-    "set_defect_sign_fault",
 ]
-
-# Mutation hook for self-test coverage: flips a sign inside
-# projection_defect so the identity check must catch it.
-_DEFECT_SIGN_FAULT = False
-
-
-def set_defect_sign_fault(enabled: bool) -> None:
-    global _DEFECT_SIGN_FAULT
-    _DEFECT_SIGN_FAULT = bool(enabled)
 
 
 def _as_square_matrix(matrix) -> np.ndarray:
@@ -134,9 +124,7 @@ def projection_defect(u: FiniteUnitary, xi) -> float:
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"projection_defect needs a unit vector, |xi| = {norm!r}")
     p = rank_one(x, x)
-    moved = adjoint_act(u, p).matrix
-    reference = -p.matrix if _DEFECT_SIGN_FAULT else p.matrix
-    return float(np.sum(np.abs(moved - reference) ** 2))
+    return float(np.sum(np.abs(adjoint_act(u, p).matrix - p.matrix) ** 2))
 
 
 def projection_defect_formula(u: FiniteUnitary, xi) -> float:

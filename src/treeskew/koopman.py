@@ -10,9 +10,10 @@ Exact routes come first: the orientation system averages the profile
 correlation against the binomial path-sum law, and the Gaussian system
 uses the erf/quadrature closed forms.  Monte Carlo is the independent
 cross-check, driven by the actual skew machinery (orientation seeds
-through the edge PRF, Gaussian draws through the Cholesky factor), streamed
-in fixed-size blocks (:mod:`treeskew.parallel`) so that memory stays bounded
-and results are bit-identical for a fixed seed at any worker count.
+through the edge PRF, Gaussian shifts ``sqrt(|g|) * N(0, 1)`` from one
+``PCG64(seed)`` stream), streamed in fixed-size blocks
+(:mod:`treeskew.parallel`) so that memory stays bounded and results are
+bit-identical for a fixed seed at any worker count.
 
 CSV schemas (all reals printed with 17 significant digits):
 
@@ -29,13 +30,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .gaussian import gram_matrix
-from .numerics import (
-    expected_excess,
-    interval_overlap,
-    shifted_overlap_array,
-    shifted_overlap_mean,
-)
+import numpy as np
+
+from .numerics import expected_excess, shifted_overlap_array
 from .orientation import cocycle_sampler, path_sum_law
 from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector
@@ -135,28 +132,38 @@ class CoefficientEstimate:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _check_support(system: SystemSpec, *profiles: ProfileVector) -> None:
-    if system.kind == "orientation":
-        for prof in profiles:
-            if prof.kind == "cauchy":
-                raise UnsupportedProfileError(
-                    "the orientation system supports window, indicator and gaussian "
-                    "profiles only"
-                )
+def _check_method(method: str) -> None:
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+
+
+def _check_rank(system: SystemSpec, g: Word) -> None:
+    if g.rank != system.rank:
+        raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
+
+
+def _check_support(system: SystemSpec, xi: ProfileVector, eta: ProfileVector) -> None:
+    """Reject a profile pair that has no evaluation rule, before any work is done."""
+    if system.kind == "orientation" and "cauchy" in (xi.kind, eta.kind):
+        raise UnsupportedProfileError(
+            "the orientation system supports window, indicator and gaussian profiles only"
+        )
+    xi._pair_kind(eta)
 
 
 def _mc_estimate(system: SystemSpec, g: Word, budget: Optional[MCBudget], kernel):
     """Monte Carlo mean of ``kernel(shift)`` over the skew shifts of ``g``.
 
-    Orientation blocks may run on any worker; the Gaussian draws are one
-    sequential stream, so their blocks run in order on one thread.
+    Orientation blocks may run on any worker.  The Gaussian shift of ``g``
+    is ``N(0, |g|)``, drawn as ``sqrt(|g|)`` times one sequential
+    ``PCG64(seed)`` normal stream, so its blocks run in order on one thread.
     """
     budget = budget or MCBudget()
     if system.kind == "orientation":
         draws, workers = cocycle_sampler(g, system.p, budget.seed), budget.workers
     else:
-        draw = gram_matrix([g]).sampler(budget.seed)
-        draws, workers = (lambda lo, hi: draw(hi - lo)[:, 0]), 1
+        rng, sigma = np.random.Generator(np.random.PCG64(budget.seed)), math.sqrt(len(g))
+        draws, workers = (lambda lo, hi: sigma * rng.standard_normal(hi - lo)), 1
     parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples, workers)
     return CoefficientEstimate(*mean_stderr(parts), "monte-carlo", budget.samples, budget.seed)
 
@@ -177,15 +184,13 @@ def coefficient(
     The value is always bounded by ``xi.norm() * eta.norm()`` because the
     correlation kernel is pointwise bounded by it.
     """
-    if g.rank != system.rank:
-        raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_rank(system, g)
+    _check_method(method)
     _check_support(system, xi, eta)
-    if method in ("auto", "exact"):
-        seed = budget.seed if budget is not None else 0
-        return _length_coefficient(system, len(g), xi, eta, seed)
-    return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
+    if method == "mc":
+        return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
+    seed = budget.seed if budget is not None else 0
+    return _length_coefficient(system, len(g), xi, eta, seed)
 
 
 def _length_coefficient(
@@ -221,22 +226,14 @@ def symmetric_difference(system: SystemSpec, g: Word, a: ProfileVector) -> float
 
         nu(beta_g A  delta  A) = 2 (nu(A) - <pi(g) chi_A, chi_A>)
 
-    is evaluated exactly: the overlap term averages the shifted interval
-    overlap against the path-sum law (orientation) or the normal law of
-    the shift (gaussian).
+    is evaluated exactly: the overlap term is the diagonal coefficient of
+    the raw indicator ``chi_A`` of the interval, by the same per-length
+    route as :func:`coefficient`.
     """
-    if g.rank != system.rank:
-        raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
-    interval = _set_interval(a)
-    measure = interval[1] - interval[0]
-    if system.kind == "orientation":
-        law = path_sum_law(len(g), system.p)
-        overlap = law.expectation(
-            lambda s: interval_overlap((interval[0] + s, interval[1] + s), interval)
-        )
-    else:
-        overlap = shifted_overlap_mean(math.sqrt(len(g)), interval, interval)
-    return 2.0 * (measure - overlap)
+    _check_rank(system, g)
+    chi = ProfileVector.indicator(*_set_interval(a))
+    overlap = _length_coefficient(system, len(g), chi, chi, 0).value
+    return 2.0 * (chi.raw_norm_sq() - overlap)
 
 
 def symmetric_difference_mc(
@@ -248,8 +245,7 @@ def symmetric_difference_mc(
     fiberwise length ``2 (nu(A) - length((I + shift) ∩ I))``; the estimate
     averages those fibers.
     """
-    if g.rank != system.rank:
-        raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
+    _check_rank(system, g)
     interval = _set_interval(a)
     measure = interval[1] - interval[0]
     return _mc_estimate(
@@ -339,9 +335,8 @@ def decay_sweep(
     """
     if max_radius < 1:
         raise ValueError(f"max_radius must be >= 1, got {max_radius}")
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_support(system, profile)
+    _check_method(method)
+    _check_support(system, profile, profile)
     for length in range(1, max_radius + 1):
         size = shell_size(length, system.rank)
         if per_shell_cap is None and size > _ENUMERATION_LIMIT:

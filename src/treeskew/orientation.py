@@ -38,14 +38,11 @@ __all__ = [
     "Orientation",
     "SkewPoint",
     "PathSumLaw",
-    "orientation_value",
     "path_cocycle",
     "group_cocycle",
     "pushforward",
     "skew_step",
     "path_sum_law",
-    "exact_window_coefficient",
-    "exact_gaussian_bound",
     "cocycle_sampler",
     "cocycle_samples",
 ]
@@ -136,10 +133,6 @@ class Orientation:
                 v = -1 if u < self.measure.p else 1
             self._memo[edge] = v
         return v
-
-
-def orientation_value(omega: Orientation, edge: CanonicalEdge) -> int:
-    return omega.value(edge)
 
 
 def pushforward(g: Word, omega: Orientation) -> Orientation:
@@ -236,29 +229,6 @@ def path_sum_law(length: int, p: float) -> PathSumLaw:
     return PathSumLaw(length, p, pmf)
 
 
-def exact_window_coefficient(g: Word, n: int, p: float) -> float:
-    """Matrix coefficient of the normalized window [-n, n] at ``g``.
-
-    Equals ``E[max(2n - |S|, 0)] / (2n)`` for the path sum ``S`` of ``g``;
-    in particular it is bounded below by ``1 - |g| / (2n)``.
-    """
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    law = path_sum_law(len(g), p)
-    width = 2.0 * n
-    return law.expectation(lambda s: max(width - abs(s), 0.0) / width)
-
-
-def exact_gaussian_bound(g: Word, p: float) -> float:
-    """``E[exp(-S^2 / 2)]`` for the path sum ``S`` of ``g``.
-
-    This is the normalized Gaussian-profile coefficient at ``g``; it decays
-    to 0 along any sequence of words with growing length when p != 1/2.
-    """
-    law = path_sum_law(len(g), p)
-    return law.expectation(lambda s: math.exp(-0.5 * s * s))
-
-
 def cocycle_sampler(g: Word, p: float, seed: int) -> Callable[[int, int], np.ndarray]:
     """The function ``(lo, hi) -> draws lo..hi-1`` of the cocycle of ``g``.
 
@@ -287,7 +257,7 @@ def cocycle_samples(g: Word, p: float, seed: int, n: int, workers: int = 1) -> n
     output is bit-identical to a scalar :func:`group_cocycle` loop over the
     seeds ``sample_seed(seed, i)``, at any worker count.
     """
-    draws = cocycle_sampler(g, p, seed)
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
+    draws = cocycle_sampler(g, p, seed)
     return np.concatenate([np.zeros(0, dtype=np.int64), *map_blocks(draws, n, workers)])

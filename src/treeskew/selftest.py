@@ -3,8 +3,9 @@
 Each suite re-checks the load-bearing identities of one module with small
 budgets (seconds, not minutes).  A failed check names the identity it
 guards; the runner returns a process exit code.  The optional fault
-injection flips a sign inside the projection-defect computation so the
-corresponding identity check must fail, which keeps the suite honest.
+injection hands the projection-defect check a sign-flipped defect
+``|| U P U* + P ||_HS^2``, so that check must fail, which keeps the suite
+honest.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ import numpy as np
 
 from . import hs
 from .gaussian import (
-    cauchy_coefficient,
-    gaussian_window_coefficient,
     gram_matrix,
     interval_overlap_by_quadrature,
-    interval_overlap_measure,
     window_coefficient_by_quadrature,
 )
 from .koopman import (
@@ -44,8 +42,6 @@ from .orientation import (
     OrientationMeasure,
     SkewPoint,
     cocycle_samples,
-    exact_gaussian_bound,
-    exact_window_coefficient,
     group_cocycle,
     path_cocycle,
     path_sum_law,
@@ -227,7 +223,8 @@ def suite_orientation() -> List[Check]:
     ok = True
     for g_text, n, p, seed in (("abab", 6, 0.7, 11), ("aabA", 9, 0.45, 12)):
         g = parse_word(g_text, 2)
-        exact = exact_window_coefficient(g, n, p)
+        win = ProfileVector.window(n)
+        exact = coefficient(orientation_system(p), g, win, win).value
         if exact < 1.0 - len(g) / (2.0 * n) - 1e-12:
             ok = False
         draws = cocycle_samples(g, p, seed, 40_000).astype(float)
@@ -237,7 +234,9 @@ def suite_orientation() -> List[Check]:
             ok = False
     checks.append(Check("window coefficient: exact law vs sampled orientations", ok))
 
-    vals = [exact_gaussian_bound(Word((1,) * L, 2), 0.7) for L in range(1, 13)]
+    gauss = ProfileVector.gaussian()
+    vals = [coefficient(orientation_system(0.7), Word((1,) * L, 2), gauss, gauss).value
+            for L in range(1, 13)]
     checks.append(
         Check(
             "gaussian bound strictly decreasing",
@@ -274,7 +273,8 @@ def suite_gaussian() -> List[Check]:
     checks.append(Check("sampling: identity is 0, covariance matches gram", ok))
 
     ok = all(
-        abs(gaussian_window_coefficient(s, n) - window_coefficient_by_quadrature(s, n))
+        abs(ProfileVector.window(n).gaussian_mean(ProfileVector.window(n), s)[0]
+            - window_coefficient_by_quadrature(s, n))
         <= 1e-9
         for s, n in ((0.5, 1), (1.0, 10), (3.0, 2), (2.0, 100))
     )
@@ -284,14 +284,17 @@ def suite_gaussian() -> List[Check]:
         abs(cauchy_kernel_by_quadrature(x) * (4.0 + x * x) - 2.0 * math.pi) <= 1e-8
         for x in (0.0, 1.0, 5.0)
     )
-    seq = [cauchy_coefficient(s) for s in (0.0, 1.0, 2.0, 4.0)]
+    raw = ProfileVector.cauchy("raw")
+    seq = [raw.gaussian_mean(raw, s)[0] for s in (0.0, 1.0, 2.0, 4.0)]
     ok = ok and all(b < a for a, b in zip(seq, seq[1:]))
     checks.append(Check("cauchy kernel identity and coefficient decay", ok))
 
     ok = True
     for g_text, i, j in (("ab", (0.0, 1.0), (0.0, 1.0)), ("abab", (-1.0, 2.0), (0.5, 3.0))):
         g = parse_word(g_text, 2)
-        closed = interval_overlap_measure(g, i, j)
+        closed = coefficient(
+            gaussian_system(), g, ProfileVector.indicator(*i), ProfileVector.indicator(*j)
+        ).value
         quad = interval_overlap_by_quadrature(math.sqrt(len(g)), i, j)
         if abs(closed - quad) > 1e-9:
             ok = False
@@ -351,7 +354,13 @@ def suite_koopman() -> List[Check]:
     return checks
 
 
-def suite_hs() -> List[Check]:
+def _sign_flipped_defect(u: hs.FiniteUnitary, xi) -> float:
+    """The injected fault: ``|| U P U* + P ||_HS^2`` in place of the defect."""
+    p = hs.rank_one(xi, xi)
+    return hs.HSOperator(hs.adjoint_act(u, p).matrix + p.matrix).hs_norm_sq()
+
+
+def suite_hs(defect: Callable[..., float] = hs.projection_defect) -> List[Check]:
     rng = np.random.Generator(np.random.PCG64(5505))
     checks = []
 
@@ -381,13 +390,13 @@ def suite_hs() -> List[Check]:
         dim = int(rng.integers(2, 17))
         u = hs.random_unitary(dim, rng)
         x = hs.random_unit_vector(dim, rng)
-        lhs = hs.projection_defect(u, x)
+        lhs = defect(u, x)
         rhs = hs.projection_defect_formula(u, x)
         if abs(lhs - rhs) > 1e-10:
             ok = False
     rot = hs.rotation_unitary(math.pi / 4.0)
     xi = np.array([1.0, 0.0], dtype=np.complex128)
-    ok = ok and abs(hs.projection_defect(rot, xi) - 1.0) <= 1e-12
+    ok = ok and abs(defect(rot, xi) - 1.0) <= 1e-12
     checks.append(Check("projection-defect identity", ok))
 
     ok = True
@@ -438,25 +447,23 @@ def run_selftest(verbosity: int = 1, inject_fault: str | None = None, out=None) 
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
     emit = out if out is not None else print
+    suites = dict(SUITES)
     if inject_fault == "projection-defect-sign":
-        hs.set_defect_sign_fault(True)
+        suites["hs-adjoint"] = lambda: suite_hs(_sign_flipped_defect)
     all_ok = True
-    try:
-        for name, fn in SUITES:
-            start = time.perf_counter()
-            checks = fn()
-            elapsed = time.perf_counter() - start
-            passed = sum(1 for c in checks if c.ok)
-            suite_ok = passed == len(checks)
-            all_ok = all_ok and suite_ok
-            if verbosity >= 1:
-                status = "ok" if suite_ok else "FAIL"
-                emit(f"[{status}] {name}: {passed}/{len(checks)} checks ({elapsed:.2f}s)")
-            for c in checks:
-                if not c.ok or verbosity >= 2:
-                    mark = "pass" if c.ok else "FAIL"
-                    detail = f" ({c.detail})" if c.detail else ""
-                    emit(f"    [{mark}] {c.name}{detail}")
-    finally:
-        hs.set_defect_sign_fault(False)
+    for name, fn in suites.items():
+        start = time.perf_counter()
+        checks = fn()
+        elapsed = time.perf_counter() - start
+        passed = sum(1 for c in checks if c.ok)
+        suite_ok = passed == len(checks)
+        all_ok = all_ok and suite_ok
+        if verbosity >= 1:
+            status = "ok" if suite_ok else "FAIL"
+            emit(f"[{status}] {name}: {passed}/{len(checks)} checks ({elapsed:.2f}s)")
+        for c in checks:
+            if not c.ok or verbosity >= 2:
+                mark = "pass" if c.ok else "FAIL"
+                detail = f" ({c.detail})" if c.detail else ""
+                emit(f"    [{mark}] {c.name}{detail}")
     return 0 if all_ok else 1

@@ -15,11 +15,7 @@ import numpy as np
 
 from conftest import random_letters
 from treeskew.cli import main as cli_main
-from treeskew.gaussian import (
-    gaussian_window_coefficient,
-    gram_matrix,
-    window_coefficient_by_quadrature,
-)
+from treeskew.gaussian import gram_matrix, window_coefficient_by_quadrature
 from treeskew.hs import (
     projection_defect,
     projection_defect_formula,
@@ -39,13 +35,11 @@ from treeskew.orientation import (
     Orientation,
     OrientationMeasure,
     SkewPoint,
-    exact_gaussian_bound,
-    exact_window_coefficient,
     group_cocycle,
     pushforward,
     skew_step,
 )
-from treeskew.profiles import ProfileVector
+from treeskew.profiles import ProfileVector, cauchy_kernel_by_quadrature
 from treeskew.words import Word, ball, ball_edges
 
 
@@ -108,15 +102,11 @@ def test_03_window_coefficient_exact_vs_mc(capsys):
             g = rand_word(rng, 10, min_len=1)
             n = rng.randint(1, 50)
             p = round(rng.uniform(0.1, 0.9), 3)
-            exact = exact_window_coefficient(g, n, p)
+            win = ProfileVector.window(n)
+            exact = coefficient(orientation_system(p), g, win, win, method="exact").value
             assert 1.0 - exact <= len(g) / (2.0 * n) + 1e-12
             est = coefficient(
-                orientation_system(p),
-                g,
-                ProfileVector.window(n),
-                ProfileVector.window(n),
-                budget=MCBudget(100_000, seed=i),
-                method="mc",
+                orientation_system(p), g, win, win, budget=MCBudget(100_000, seed=i), method="mc"
             )
             assert abs(est.value - exact) <= 4.0 * est.stderr + 1e-15
 
@@ -124,13 +114,16 @@ def test_03_window_coefficient_exact_vs_mc(capsys):
 
 
 def test_04_gaussian_bound_decay(capsys):
+    prof = ProfileVector.gaussian()
+
+    def bound(length, p):
+        return coefficient(orientation_system(p), Word((1,) * length, 2), prof, prof).value
+
     def body():
-        values = [
-            exact_gaussian_bound(Word((1,) * length, 2), 0.7) for length in range(1, 21)
-        ]
+        values = [bound(length, 0.7) for length in range(1, 21)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.05
-        driftless = exact_gaussian_bound(Word((1,) * 20, 2), 0.5)
+        driftless = bound(20, 0.5)
         assert driftless > values[-1]
 
     scored(capsys, "drift makes the Gaussian-profile bound decay", 5, body)
@@ -141,7 +134,8 @@ def test_05_gaussian_window_three_routes(capsys):
         rng = np.random.default_rng(505)
         for sigma in (0.5, 1.0, 2.0, 3.0, 5.0):
             for n in (1, 2, 5, 10, 100):
-                closed = gaussian_window_coefficient(sigma, n)
+                win = ProfileVector.window(n)
+                closed = win.gaussian_mean(win, sigma)[0]
                 assert closed <= 1.0 + 1e-12
                 quad = window_coefficient_by_quadrature(sigma, n)
                 assert abs(closed - quad) <= 1e-9
@@ -158,13 +152,11 @@ def test_05_gaussian_window_three_routes(capsys):
 
 def test_06_cauchy_kernel_identity(capsys):
     def body():
-        from treeskew.profiles import cauchy_kernel_by_quadrature
-        from treeskew.gaussian import cauchy_coefficient
-
         for x in (0.0, 1.0, 5.0, 20.0):
             value = cauchy_kernel_by_quadrature(x) * (4.0 + x * x)
             assert abs(value - 2.0 * math.pi) <= 1e-8
-        values = [cauchy_coefficient(s) for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
+        raw = ProfileVector.cauchy("raw")
+        values = [raw.gaussian_mean(raw, s)[0] for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     scored(capsys, "Cauchy kernel identity and coefficient decay", 5, body)

@@ -6,23 +6,44 @@ import pytest
 
 from conftest import random_letters
 from treeskew.gaussian import (
-    CocycleLaw,
-    GaussianSystem,
-    cauchy_coefficient,
-    gaussian_skew_coefficient,
-    gaussian_window_coefficient,
     gram_matrix,
     interval_overlap_by_quadrature,
-    interval_overlap_measure,
-    sample_cocycle_vector,
     window_coefficient_by_quadrature,
 )
+from treeskew.koopman import coefficient, gaussian_system
+from treeskew.numerics import gaussian_expectation, normal_pdf
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, ball, parse_word
+
+GSYS = gaussian_system()
 
 
 def w(text: str) -> Word:
     return parse_word(text, 2)
+
+
+def skew_coefficient(g: Word, profile: ProfileVector) -> float:
+    """Diagonal coefficient of the Gaussian skew product at ``g``."""
+    return coefficient(GSYS, g, profile, profile).value
+
+
+def window_mean(sigma: float, n: int) -> float:
+    """Closed-form ``E[max(2n - |X|, 0)] / (2n)`` for ``X ~ N(0, sigma^2)``."""
+    win = ProfileVector.window(n)
+    return win.gaussian_mean(win, sigma)[0]
+
+
+def cauchy_mean(sigma: float) -> float:
+    """Raw cauchy-profile coefficient ``E[2 pi / (4 + X^2)]``."""
+    raw = ProfileVector.cauchy("raw")
+    return raw.gaussian_mean(raw, sigma)[0]
+
+
+def overlap_mean(g: Word, first, second) -> float:
+    """``E[length((first + X) ∩ second)]`` for the shift ``X ~ N(0, |g|)``."""
+    return coefficient(
+        GSYS, g, ProfileVector.indicator(*first), ProfileVector.indicator(*second)
+    ).value
 
 
 class TestGramMatrix:
@@ -95,7 +116,6 @@ class TestSampling:
     def test_single_draw_consistent(self):
         system = gram_matrix([w("a"), w("b")])
         assert np.array_equal(system.sample(5), system.sample_matrix(1, 5)[0])
-        assert np.array_equal(sample_cocycle_vector(system, 5), system.sample(5))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -118,38 +138,45 @@ class TestSampling:
                 assert abs(emp[i, j] - g_ij) <= 4.0 * stderr + 1e-12
 
 
-class TestCocycleLaw:
+class TestGaussianShiftLaw:
+    # the shift of g is N(0, |g|): coefficients see g only through sqrt(|g|)
     def test_sigma_from_word(self):
-        assert CocycleLaw.from_word(w("abab")).sigma == 2.0
-        assert CocycleLaw.from_word(Word.identity(2)).sigma == 0.0
+        for prof in (ProfileVector.gaussian(), ProfileVector.window(3)):
+            assert skew_coefficient(w("abab"), prof) == prof.gaussian_mean(prof, 2.0)[0]
+            assert skew_coefficient(Word.identity(2), prof) == prof.gaussian_mean(prof, 0.0)[0]
 
     def test_density_is_normal(self):
-        law = CocycleLaw(2.0)
-        assert law.density(0.0) == pytest.approx(1.0 / (2.0 * math.sqrt(2 * math.pi)))
+        assert normal_pdf(0.0, 2.0) == pytest.approx(1.0 / (2.0 * math.sqrt(2 * math.pi)))
+        prof = ProfileVector.gaussian()
+        by_density = gaussian_expectation(lambda x: prof.correlation(prof, x), 2.0)
+        assert skew_coefficient(w("abab"), prof) == pytest.approx(by_density, abs=1e-10)
 
     def test_degenerate_density_rejected(self):
-        with pytest.raises(ValueError):
-            CocycleLaw(0.0).density(0.0)
-        with pytest.raises(ValueError):
-            CocycleLaw(-1.0)
+        # the length-0 law is a point mass at 0, and sigma < 0 is no law at all
+        for prof in (ProfileVector.gaussian(), ProfileVector.window(3), ProfileVector.cauchy()):
+            assert skew_coefficient(Word.identity(2), prof) == pytest.approx(
+                prof.correlation(prof, 0.0), abs=1e-15
+            )
+            with pytest.raises(ValueError):
+                prof.gaussian_mean(prof, -1.0)
 
 
 class TestWindowCoefficient:
     def test_degenerate_sigma(self):
-        assert gaussian_window_coefficient(0.0, 5) == 1.0
+        assert window_mean(0.0, 5) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gaussian_window_coefficient(1.0, 0)
+            ProfileVector.window(0)
         with pytest.raises(ValueError):
-            gaussian_window_coefficient(-1.0, 5)
+            window_mean(-1.0, 5)
         with pytest.raises(ValueError):
             window_coefficient_by_quadrature(1.0, 0)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 100])
     def test_erf_form_matches_quadrature(self, sigma, n):
-        closed = gaussian_window_coefficient(sigma, n)
+        closed = window_mean(sigma, n)
         quad = window_coefficient_by_quadrature(sigma, n)
         assert abs(closed - quad) <= 1e-9
         assert 0.0 < closed <= 1.0
@@ -157,30 +184,30 @@ class TestWindowCoefficient:
     def test_large_window_asymptote(self):
         for sigma in (0.5, 1.0, 2.0):
             n = 100
-            closed = gaussian_window_coefficient(sigma, n)
+            closed = window_mean(sigma, n)
             asymptote = 1.0 - sigma / (n * math.sqrt(2.0 * math.pi))
             assert abs(closed - asymptote) <= 1e-6
 
     def test_monotone_in_both_arguments(self):
-        values = [gaussian_window_coefficient(s, 5) for s in (0.1, 0.5, 1.0, 2.0, 4.0)]
+        values = [window_mean(s, 5) for s in (0.1, 0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
-        values = [gaussian_window_coefficient(2.0, n) for n in (1, 2, 5, 20, 100)]
+        values = [window_mean(2.0, n) for n in (1, 2, 5, 20, 100)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_defect_rate(self):
         # the defect 1 - coefficient never exceeds sigma / (n sqrt(2 pi))
         for sigma in (0.3, 1.0, 2.5):
             for n in (1, 3, 10, 40):
-                defect = 1.0 - gaussian_window_coefficient(sigma, n)
+                defect = 1.0 - window_mean(sigma, n)
                 assert defect <= sigma / (n * math.sqrt(2.0 * math.pi)) + 1e-12
 
 
 class TestCauchyCoefficient:
     def test_peak_value(self):
-        assert cauchy_coefficient(0.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert cauchy_mean(0.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_strictly_decreasing(self):
-        values = [cauchy_coefficient(s) for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
+        values = [cauchy_mean(s) for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_against_monte_carlo(self):
@@ -188,16 +215,16 @@ class TestCauchyCoefficient:
         for sigma in (0.7, 2.0):
             draws = 2.0 * math.pi / (4.0 + (sigma * rng.standard_normal(200_000)) ** 2)
             stderr = draws.std(ddof=1) / math.sqrt(len(draws))
-            assert abs(cauchy_coefficient(sigma) - draws.mean()) <= 4.0 * stderr
+            assert abs(cauchy_mean(sigma) - draws.mean()) <= 4.0 * stderr
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            cauchy_coefficient(-2.0)
+            cauchy_mean(-2.0)
 
 
 class TestIntervalOverlapMeasure:
     def test_identity_word_gives_plain_overlap(self):
-        got = interval_overlap_measure(Word.identity(2), (0, 2), (1, 5))
+        got = overlap_mean(Word.identity(2), (0, 2), (1, 5))
         assert got == 1.0
 
     def test_erf_form_matches_quadrature(self):
@@ -208,13 +235,13 @@ class TestIntervalOverlapMeasure:
             b = a + rng.uniform(0.5, 4)
             c = rng.uniform(-3, 1)
             d = c + rng.uniform(0.5, 4)
-            exact = interval_overlap_measure(g, (a, b), (c, d))
+            exact = overlap_mean(g, (a, b), (c, d))
             quad = interval_overlap_by_quadrature(math.sqrt(len(g)), (a, b), (c, d))
             assert abs(exact - quad) <= 1e-9
 
     def test_symmetric_under_inverse(self):
         g = w("abAB")
-        assert interval_overlap_measure(g, (-1, 1), (0, 3)) == interval_overlap_measure(
+        assert overlap_mean(g, (-1, 1), (0, 3)) == overlap_mean(
             ~g, (-1, 1), (0, 3)
         )
 
@@ -226,31 +253,32 @@ class TestIntervalOverlapMeasure:
         hi = np.minimum(first[1] + shifts, second[1])
         draws = np.maximum(0.0, hi - lo)
         stderr = draws.std(ddof=1) / math.sqrt(len(draws))
-        exact = interval_overlap_measure(g, first, second)
+        exact = overlap_mean(g, first, second)
         assert abs(exact - draws.mean()) <= 4.0 * stderr
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError, match="empty or inverted"):
-            interval_overlap_measure(w("a"), (2.0, -2.0), (0.0, 1.0))
+            overlap_mean(w("a"), (2.0, -2.0), (0.0, 1.0))
 
 
 class TestSkewCoefficientDispatch:
     def test_window_route(self):
         g = w("abab")
-        got = gaussian_skew_coefficient(g, ProfileVector.window(7))
-        assert got == gaussian_window_coefficient(2.0, 7)
+        got = skew_coefficient(g, ProfileVector.window(7))
+        assert got == window_mean(2.0, 7)
+        assert abs(got - window_coefficient_by_quadrature(2.0, 7)) <= 1e-9
 
     def test_cauchy_routes(self):
         g = w("aba")
-        raw = gaussian_skew_coefficient(g, ProfileVector.cauchy("raw"))
-        unit = gaussian_skew_coefficient(g, ProfileVector.cauchy())
-        assert raw == pytest.approx(cauchy_coefficient(math.sqrt(3.0)), abs=1e-12)
+        raw = skew_coefficient(g, ProfileVector.cauchy("raw"))
+        unit = skew_coefficient(g, ProfileVector.cauchy())
+        assert raw == pytest.approx(cauchy_mean(math.sqrt(3.0)), abs=1e-12)
         assert unit == pytest.approx(raw / (math.pi / 2.0), abs=1e-9)
 
     def test_gaussian_routes(self):
         g = w("ab")
-        unit = gaussian_skew_coefficient(g, ProfileVector.gaussian())
-        raw = gaussian_skew_coefficient(g, ProfileVector.gaussian("raw"))
+        unit = skew_coefficient(g, ProfileVector.gaussian())
+        raw = skew_coefficient(g, ProfileVector.gaussian("raw"))
         assert unit == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
         assert raw == pytest.approx(math.sqrt(math.pi / 2.0) / math.sqrt(3.0), abs=1e-12)
 
@@ -258,25 +286,26 @@ class TestSkewCoefficientDispatch:
         g = w("abA")
         sigma = math.sqrt(len(g))
         gauss = ProfileVector.gaussian()
-        assert gaussian_skew_coefficient(g, gauss) == pytest.approx(
+        assert skew_coefficient(g, gauss) == pytest.approx(
             gauss.gaussian_mean(gauss, sigma)[0], abs=1e-12
         )
         window = ProfileVector.window(4)
-        assert gaussian_skew_coefficient(g, window) == pytest.approx(
+        assert skew_coefficient(g, window) == pytest.approx(
             window.gaussian_mean(window, sigma)[0], abs=1e-12
         )
 
     def test_identity_gives_unit_coefficient(self):
         e = Word.identity(2)
         for profile in (ProfileVector.window(3), ProfileVector.gaussian(), ProfileVector.cauchy()):
-            assert gaussian_skew_coefficient(e, profile) == pytest.approx(1.0, abs=1e-9)
+            assert skew_coefficient(e, profile) == pytest.approx(1.0, abs=1e-9)
 
     def test_depends_only_on_length(self):
         p = ProfileVector.gaussian()
-        assert gaussian_skew_coefficient(w("abab"), p) == gaussian_skew_coefficient(
+        assert skew_coefficient(w("abab"), p) == skew_coefficient(
             w("BAba"), p
         )
 
     def test_indicator_profile_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_skew_coefficient(w("a"), ProfileVector.indicator(0, 1))
+        # an indicator has a correlation rule with interval profiles only
+        with pytest.raises(ValueError, match="no correlation rule"):
+            coefficient(GSYS, w("a"), ProfileVector.indicator(0, 1), ProfileVector.gaussian())

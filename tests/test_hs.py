@@ -15,10 +15,10 @@ from treeskew.hs import (
     random_unitary,
     rank_one,
     rotation_unitary,
-    set_defect_sign_fault,
     trace,
     window_projection_demo,
 )
+from treeskew.selftest import run_selftest
 
 
 def basis_vector(i, dim):
@@ -135,15 +135,17 @@ class TestProjectionDefect:
             projection_defect(rotation_unitary(0.1), np.array([1.0, 1.0]))
 
     def test_fault_hook_breaks_the_identity_and_reverts(self):
+        # the injected fault fails only the projection-defect check, and a
+        # clean run straight after it passes again
         u = rotation_unitary(0.2)
         xi = np.array([1.0, 0.0])
         clean = projection_defect(u, xi)
-        set_defect_sign_fault(True)
-        try:
-            faulty = projection_defect(u, xi)
-        finally:
-            set_defect_sign_fault(False)
-        assert abs(faulty - projection_defect_formula(u, xi)) > 0.5
+        lines: list[str] = []
+        assert run_selftest(inject_fault="projection-defect-sign", out=lines.append) == 1
+        failures = [line.strip() for line in lines if "FAIL" in line]
+        assert failures[0].startswith("[FAIL] hs-adjoint: 3/4 checks")
+        assert failures[1:] == ["[FAIL] projection-defect identity"]
+        assert run_selftest(verbosity=0) == 0
         assert projection_defect(u, xi) == clean
 
 

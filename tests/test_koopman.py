@@ -10,7 +10,6 @@ import pytest
 from conftest import random_letters
 from treeskew import koopman
 from treeskew.cli import main as cli_main
-from treeskew.gaussian import gaussian_window_coefficient, interval_overlap_measure
 from treeskew.koopman import (
     CoefficientEstimate,
     MCBudget,
@@ -25,7 +24,6 @@ from treeskew.koopman import (
     symmetric_difference,
     symmetric_difference_mc,
 )
-from treeskew.orientation import exact_gaussian_bound, exact_window_coefficient
 from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, parse_word
@@ -36,6 +34,14 @@ GSYS = gaussian_system()
 
 def w(text: str) -> Word:
     return parse_word(text, 2)
+
+
+def binomial_mean(length: int, p: float, kernel) -> float:
+    """``E[kernel(S)]`` by summing over the binomial law of the path sum ``S``."""
+    return math.fsum(
+        math.comb(length, j) * p**j * (1.0 - p) ** (length - j) * kernel(length - 2 * j)
+        for j in range(length + 1)
+    )
 
 
 class TestSystemSpec:
@@ -84,18 +90,26 @@ class TestExactRouting:
         win = ProfileVector.window(4)
         for text in ("ab", "abab", "BBB"):
             est = coefficient(OSYS, w(text), win, win)
-            assert est.value == exact_window_coefficient(w(text), 4, 0.7)
+            want = binomial_mean(len(w(text)), 0.7, lambda s: max(8 - abs(s), 0) / 8)
+            assert est.value == want
 
     def test_orientation_gaussian_profile_matches_bound(self):
         prof = ProfileVector.gaussian()
         est = coefficient(OSYS, w("abab"), prof, prof)
-        assert est.value == pytest.approx(exact_gaussian_bound(w("abab"), 0.7), rel=1e-12)
+        want = binomial_mean(4, 0.7, lambda s: math.exp(-0.5 * s * s))
+        assert est.value == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_system_window(self):
+        mp = pytest.importorskip("mpmath")
         win = ProfileVector.window(6)
         est = coefficient(GSYS, w("aba"), win, win)
         assert est.method == "exact"
-        assert est.value == gaussian_window_coefficient(math.sqrt(3.0), 6)
+        with mp.workdps(40):
+            sigma, c = mp.sqrt(3), mp.mpf(12)
+            want = mp.erf(c / (sigma * mp.sqrt(2))) - sigma * mp.sqrt(2 / mp.pi) * (
+                1 - mp.exp(-c * c / (2 * sigma * sigma))
+            ) / c
+        assert abs(est.value - want) <= 1e-15 * want
 
     def test_gaussian_system_cauchy_is_quadrature(self):
         prof = ProfileVector.cauchy()
@@ -122,6 +136,16 @@ class TestExactRouting:
         win = ProfileVector.window(2)
         with pytest.raises(ValueError, match="method"):
             coefficient(OSYS, w("a"), win, win, method="bogus")
+
+    def test_invalid_pair_rejected_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo blocks ran before the profile pair check")
+
+        monkeypatch.setattr(koopman, "map_blocks", refuse)
+        xi, eta = ProfileVector.gaussian(), ProfileVector.window(3)
+        for system in (OSYS, GSYS):
+            with pytest.raises(ValueError, match="no correlation rule"):
+                coefficient(system, w("abab"), xi, eta, MCBudget(50_000, 0, 2), method="mc")
 
     def test_diagonal_symmetric_under_inverse(self):
         win = ProfileVector.window(3)
@@ -248,11 +272,12 @@ class TestSymmetricDifference:
         assert symmetric_difference(OSYS, w("a"), ProfileVector.window(1)) == 2.0
 
     def test_matches_overlap_route_on_gaussian(self):
-        interval = (-2.0, 2.0)
-        g = w("aba")
-        got = symmetric_difference(GSYS, g, ProfileVector.window(2))
-        overlap = interval_overlap_measure(g, interval, interval)
-        assert got == pytest.approx(2.0 * (4.0 - overlap), abs=1e-12)
+        mp = pytest.importorskip("mpmath")
+        got = symmetric_difference(GSYS, w("aba"), ProfileVector.window(2))
+        with mp.workdps(40):
+            # E[length((I + X) ∩ I)] for I = [-2, 2] and X ~ N(0, 3)
+            overlap = mp.quad(lambda x: (4 - abs(x)) * mp.npdf(x, 0, mp.sqrt(3)), [-4, 0, 4])
+        assert got == pytest.approx(float(2 * (4 - overlap)), abs=1e-12)
 
     def test_monotone_along_powers(self):
         win = ProfileVector.window(2)

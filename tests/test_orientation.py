@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_letters
+from treeskew import orientation
+from treeskew.koopman import coefficient, orientation_system
 from treeskew.orientation import (
     Orientation,
     OrientationMeasure,
     SkewPoint,
     cocycle_samples,
-    exact_gaussian_bound,
-    exact_window_coefficient,
     group_cocycle,
     path_cocycle,
     path_sum_law,
@@ -19,6 +19,7 @@ from treeskew.orientation import (
     skew_step,
 )
 from treeskew.parallel import BLOCK_SIZE
+from treeskew.profiles import ProfileVector
 from treeskew.rng import sample_seed
 from treeskew.words import CanonicalEdge, Word, ball_edges, parse_word
 
@@ -31,6 +32,18 @@ def w(text: str) -> Word:
 
 def rand_word(rng: random.Random, max_len: int) -> Word:
     return Word(random_letters(rng, rng.randint(0, max_len), 2), 2)
+
+
+def window_coefficient(g: Word, n: int, p: float) -> float:
+    """Exact window coefficient ``E[max(2n - |S|, 0)] / (2n)`` at ``g``."""
+    win = ProfileVector.window(n)
+    return coefficient(orientation_system(p), g, win, win).value
+
+
+def gaussian_bound(g: Word, p: float) -> float:
+    """Exact normalized gaussian-profile coefficient ``E[exp(-S^2 / 2)]`` at ``g``."""
+    prof = ProfileVector.gaussian()
+    return coefficient(orientation_system(p), g, prof, prof).value
 
 
 class TestMeasure:
@@ -256,17 +269,17 @@ class TestPathSumLaw:
 class TestWindowCoefficient:
     def test_single_letter_is_half(self):
         for p in (0.3, 0.5, 0.7, 0.9):
-            assert exact_window_coefficient(w("a"), 1, p) == 0.5
+            assert window_coefficient(w("a"), 1, p) == 0.5
 
     def test_identity_word_is_one(self):
-        assert exact_window_coefficient(Word.identity(2), 5, 0.7) == 1.0
+        assert window_coefficient(Word.identity(2), 5, 0.7) == 1.0
 
     def test_lower_bound_and_monotonicity_in_n(self):
         rng = random.Random(101)
         for _ in range(50):
             g = rand_word(rng, 10)
             p = rng.uniform(0.1, 0.9)
-            values = [exact_window_coefficient(g, n, p) for n in (1, 2, 5, 10, 50)]
+            values = [window_coefficient(g, n, p) for n in (1, 2, 5, 10, 50)]
             for n, v in zip((1, 2, 5, 10, 50), values):
                 assert v >= 1.0 - len(g) / (2.0 * n) - 1e-12
                 assert v <= 1.0 + 1e-12
@@ -279,11 +292,11 @@ class TestWindowCoefficient:
             signs = [(-1 if (mask >> i) & 1 else 1) for i in range(len(g))]
             prob = math.prod(p if s == -1 else 1.0 - p for s in signs)
             total += prob * max(2 * n - abs(sum(signs)), 0) / (2 * n)
-        assert exact_window_coefficient(g, n, p) == pytest.approx(total, abs=1e-14)
+        assert window_coefficient(g, n, p) == pytest.approx(total, abs=1e-14)
 
     def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            exact_window_coefficient(w("a"), 0, 0.7)
+        with pytest.raises(ValueError, match="window size"):
+            window_coefficient(w("a"), 0, 0.7)
 
 
 class TestGaussianBound:
@@ -294,21 +307,21 @@ class TestGaussianBound:
             signs = [(-1 if (mask >> i) & 1 else 1) for i in range(len(g))]
             prob = math.prod(p if s == -1 else 1.0 - p for s in signs)
             total += prob * math.exp(-0.5 * sum(signs) ** 2)
-        assert exact_gaussian_bound(g, p) == pytest.approx(total, abs=1e-14)
+        assert gaussian_bound(g, p) == pytest.approx(total, abs=1e-14)
 
     def test_transient_decay(self):
-        values = [exact_gaussian_bound(Word((1,) * L, 2), 0.7) for L in range(1, 21)]
+        values = [gaussian_bound(Word((1,) * L, 2), 0.7) for L in range(1, 21)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 0.05
 
     def test_driftless_is_larger_and_sqrt_slow(self):
         # for p = 1/2 the path sum has zero mean and variance L, so the
         # bound behaves like 1/sqrt(L+1) and dominates the drifting case
-        transient = exact_gaussian_bound(Word((1,) * 20, 2), 0.7)
-        driftless = exact_gaussian_bound(Word((1,) * 20, 2), 0.5)
+        transient = gaussian_bound(Word((1,) * 20, 2), 0.7)
+        driftless = gaussian_bound(Word((1,) * 20, 2), 0.5)
         assert driftless > transient
         for L in (8, 12, 16, 20, 30):
-            val = exact_gaussian_bound(Word((1,) * L, 2), 0.5)
+            val = gaussian_bound(Word((1,) * L, 2), 0.5)
             assert 0.7 < val * math.sqrt(L + 1.0) < 1.3
 
 
@@ -340,6 +353,14 @@ class TestCocycleSamples:
     def test_identity_and_empty(self):
         assert cocycle_samples(Word.identity(2), 0.7, 0, 10).tolist() == [0] * 10
         assert cocycle_samples(w("ab"), 0.7, 0, 0).size == 0
+
+    def test_negative_count_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler was built before the count check")
+
+        monkeypatch.setattr(orientation, "cocycle_sampler", refuse)
+        with pytest.raises(ValueError, match="sample count"):
+            cocycle_samples(w("ab"), 0.7, 0, -1)
 
     def test_distribution_matches_path_sum_law(self):
         g, p, n = w("abab"), 0.7, 100_000
