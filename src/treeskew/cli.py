@@ -241,16 +241,16 @@ def cmd_gram(config: ExperimentConfig) -> int:
         )
     words = ball(config.max_radius, config.rank)
     system = gram_matrix(words)
+    labels = [str(w) for w in words]
     with _open_out(config.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "word_i", "word_j", "value"])
-        for i, wi in enumerate(words):
-            for j, wj in enumerate(words):
-                writer.writerow([i, j, str(wi), str(wj), _fmt(system.gram[i, j])])
+        for i, wi in enumerate(labels):
+            for j, wj in enumerate(labels):
+                writer.writerow([i, j, wi, wj, _fmt(system.gram[i, j])])
     print(
         f"gram: radius={config.max_radius} size={len(words)} "
-        f"min_eig={system.min_eigenvalue():.6g} jitter={system.jitter:g} "
-        f"reconstruction_error={system.reconstruction_error():.3g}",
+        f"min_eig={system.min_eigenvalue():.6g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -384,9 +384,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

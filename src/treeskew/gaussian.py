@@ -6,8 +6,11 @@ The tree metric is conditionally negative definite, so the Gromov products
 
 form a positive semidefinite matrix: it is the covariance of the jointly
 Gaussian vector of cocycle values ``(X_{g_1}, ..., X_{g_m})``, with
-``Var(X_g) = |g|``.  This module builds those Gram matrices, factorizes
-them, and draws joint samples.
+``Var(X_g) = |g|``.  At the base vertex the Gromov product is the length
+of the common prefix, so ``X_g`` is the sum of i.i.d. N(0, 1) edge
+variables over the edges from the base vertex to ``g``.  This module builds
+the 0/1 ancestor-edge incidence ``A`` of a word set, which is an exact Gram
+factor (``gram = A A^T``), and draws joint samples through it.
 
 A single group element only enters a matrix coefficient through
 ``sigma = sqrt(|g|)``, the standard deviation of its shift.  The closed
@@ -27,13 +30,13 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .numerics import check_interval, gaussian_expectation, interval_overlap
-from .words import Word, distance
+from .words import Word
 
 __all__ = [
     "GaussianSystem",
@@ -42,24 +45,19 @@ __all__ = [
     "interval_overlap_by_quadrature",
 ]
 
-_JITTER_LADDER = (0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9)
-
-
 @dataclass
 class GaussianSystem:
-    """A finite word set with its Gram matrix and Cholesky factor.
+    """A finite word set with its Gram matrix and ancestor-edge incidence.
 
-    ``jitter`` is the smallest ladder value (at most 1e-9) that made the
-    factorization succeed; it is added only on the diagonal of the rows
-    with nonzero variance, so components of zero-variance words (the
-    identity) sample to exactly 0.
+    Column ``e`` of ``incidence`` is one tree edge on the way from the base
+    vertex to some word of the set; ``incidence[i, e]`` is 1 when that edge
+    lies on the geodesic to ``words[i]``.  Each row sums to the word length,
+    and the identity's row is all zero, so its component samples to exactly 0.
     """
 
     words: tuple[Word, ...]
     gram: np.ndarray
-    chol: np.ndarray
-    jitter: float
-    active: np.ndarray = field(repr=False)
+    incidence: np.ndarray
 
     def __len__(self) -> int:
         return len(self.words)
@@ -67,31 +65,23 @@ class GaussianSystem:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.gram)[0])
 
-    def reconstruction_target(self) -> np.ndarray:
-        target = self.gram.copy()
-        target[self.active, self.active] += self.jitter
-        return target
-
-    def reconstruction_error(self) -> float:
-        """Max entrywise error of ``chol @ chol.T`` against gram + jitter."""
-        return float(np.max(np.abs(self.chol @ self.chol.T - self.reconstruction_target())))
-
     def sample_matrix(self, n: int, seed: int) -> np.ndarray:
-        """``n`` joint draws as an (n, m) array from one ``PCG64(seed)`` stream."""
+        """``n`` joint draws as an (n, m) array: edge normals from one ``PCG64(seed)``."""
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
         rng = np.random.Generator(np.random.PCG64(seed))
-        idx = np.flatnonzero(self.active)
-        out = np.zeros((n, len(self.words)))
-        out[:, idx] = rng.standard_normal((n, idx.size)) @ self.chol[np.ix_(idx, idx)].T
-        return out
+        return rng.standard_normal((n, self.incidence.shape[1])) @ self.incidence.T
 
     def sample(self, seed: int) -> np.ndarray:
         return self.sample_matrix(1, seed)[0]
 
 
 def gram_matrix(words: Sequence[Word]) -> GaussianSystem:
-    """Build the Gaussian marginal system on a duplicate-free word list."""
+    """Build the Gaussian marginal system on a duplicate-free word list.
+
+    Every distinct nonempty prefix of the words names one edge column, keyed
+    by the column of its parent prefix and its last letter.
+    """
     words = tuple(words)
     if not words:
         raise ValueError("word list must be nonempty")
@@ -101,35 +91,18 @@ def gram_matrix(words: Sequence[Word]) -> GaussianSystem:
             raise ValueError(f"rank mismatch in word list: {w.rank} vs {rank}")
     if len(set(words)) != len(words):
         raise ValueError("duplicate words in marginal set")
-    m = len(words)
-    lengths = [len(w) for w in words]
-    gram = np.empty((m, m))
-    for i in range(m):
-        gram[i, i] = lengths[i]
-        for j in range(i + 1, m):
-            gp = 0.5 * (lengths[i] + lengths[j] - distance(words[i], words[j]))
-            gram[i, j] = gram[j, i] = gp
-    chol, jitter, active = _factor(gram)
-    return GaussianSystem(words, gram, chol, jitter, active)
-
-
-def _factor(gram: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    active = gram.diagonal() > 0.0
-    idx = np.flatnonzero(active)
-    chol = np.zeros_like(gram)
-    if idx.size == 0:
-        return chol, 0.0, active
-    sub = gram[np.ix_(idx, idx)]
-    for jitter in _JITTER_LADDER:
-        try:
-            factor = np.linalg.cholesky(sub + jitter * np.eye(idx.size))
-        except np.linalg.LinAlgError:
-            continue
-        chol[np.ix_(idx, idx)] = factor
-        return chol, jitter, active
-    raise np.linalg.LinAlgError(
-        "Gram matrix is not positive semidefinite within the jitter ladder"
-    )
+    columns: dict[tuple[int, int], int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, w in enumerate(words):
+        col = -1
+        for s in w.letters:
+            col = columns.setdefault((col, s), len(columns))
+            rows.append(i)
+            cols.append(col)
+    incidence = np.zeros((len(words), len(columns)))
+    incidence[rows, cols] = 1.0
+    return GaussianSystem(words, incidence @ incidence.T, incidence)
 
 
 def window_coefficient_by_quadrature(sigma: float, n: int, tol: float = 1e-10) -> float:

@@ -252,12 +252,13 @@ def suite_gaussian() -> List[Check]:
     checks.append(
         Check("gram matrix PSD on ball(4)", system.min_eigenvalue() >= -1e-8)
     )
-    checks.append(
-        Check(
-            "cholesky reconstruction within 1e-10",
-            system.reconstruction_error() <= 1e-10 and system.jitter <= 1e-9,
-        )
+    words = system.words
+    ok = all(
+        system.gram[i, j] == (len(x) + len(y) - distance(x, y)) / 2
+        for i, x in enumerate(words)
+        for j, y in enumerate(words[i:], i)
     )
+    checks.append(Check("gram equals the Gromov products exactly on ball(4)", ok))
 
     words = [Word.identity(2), parse_word("ab", 2), parse_word("aB", 2), parse_word("aaa", 2)]
     sub = gram_matrix(words)

@@ -2,7 +2,9 @@
 
 The oracle works on raw letter tuples with its own one-step reduction, so
 distances, paths and medians come from graph search rather than from the
-word-combinatorics code under test.
+word-combinatorics code under test.  ``gromov_products`` is the reference
+for Gram matrices: it goes through ``words.distance``, which the oracle
+checks, and never through the ancestor-edge incidence.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+
+from treeskew.words import distance
 
 
 def reduce_step(letters: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -28,6 +33,17 @@ def random_letters(rng: random.Random, length: int, rank: int) -> tuple[int, ...
         if out and out[-1] == -s:
             continue
         out = out + (s,)
+    return out
+
+
+def gromov_products(words) -> np.ndarray:
+    """Gromov products ``(|x| + |y| - d(x, y)) / 2`` at the base vertex."""
+    m = len(words)
+    out = np.empty((m, m))
+    for i, x in enumerate(words):
+        for j in range(i, m):
+            y = words[j]
+            out[i, j] = out[j, i] = (len(x) + len(y) - distance(x, y)) / 2
     return out
 
 

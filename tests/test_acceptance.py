@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import random_letters
+from conftest import gromov_products, random_letters
 from treeskew.cli import main as cli_main
 from treeskew.gaussian import gram_matrix, window_coefficient_by_quadrature
 from treeskew.hs import (
@@ -167,7 +167,7 @@ def test_07_gram_matrix_and_sampling(capsys):
         system = gram_matrix(ball(5, 2))
         assert len(system) == 485
         assert system.min_eigenvalue() >= -1e-8
-        assert system.reconstruction_error() <= 1e-10
+        assert np.array_equal(system.gram, gromov_products(system.words))
 
         words = [Word(tuple(), 2)] + [
             Word(letters, 2)
@@ -185,7 +185,7 @@ def test_07_gram_matrix_and_sampling(capsys):
                 )
                 assert abs(empirical[i, j] - expected) <= 4.0 * spread + 1e-12
 
-    scored(capsys, "Gram matrix PSD, factorization, empirical covariance", 60, body)
+    scored(capsys, "Gram matrix PSD, Gromov products, empirical covariance", 60, body)
 
 
 def test_08_projection_defect_identity(capsys):

@@ -1,10 +1,14 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import treeskew
+from conftest import gromov_products
 from treeskew.cli import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +19,7 @@ from treeskew.cli import (
     validate_config,
 )
 from treeskew.profiles import ProfileVector
+from treeskew.words import ball
 
 
 class TestConfigValidation:
@@ -204,6 +209,11 @@ class TestArtifacts:
         assert max(scaled) - min(scaled) <= 0.1 * max(scaled)
 
     def test_gram_csv_dense_and_symmetric(self, capsys):
+        assert main(["gram", "--max-radius", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "i,j,word_i,word_j,value\n0,0,1,1,0\n"
+        assert "min_eig" in err
+
         assert main(["gram", "--max-radius", "1"]) == 0
         out, err = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -211,7 +221,10 @@ class TestArtifacts:
         values = {(r["i"], r["j"]): r["value"] for r in rows}
         for (i, j), v in values.items():
             assert values[(j, i)] == v
-        assert "min_eig" in err and "reconstruction_error" in err
+        expected = gromov_products(ball(1, 2))
+        for r in rows:
+            assert float(r["value"]) == expected[int(r["i"]), int(r["j"])]
+        assert "min_eig" in err
 
     def test_hs_residuals_tiny(self, capsys):
         assert main(["hs", "--samples", "1000", "--seed", "1"]) == 0
@@ -224,10 +237,14 @@ class TestArtifacts:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The child imports the same package as this test, installed or not.
+        package_root = str(Path(treeskew.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "treeskew", "window", "--max-radius", "2", "--n", "10"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("system,ball_radius,n,sup_defect,bound\n")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_letters
+from conftest import gromov_products, random_letters
 from treeskew.gaussian import (
     gram_matrix,
     interval_overlap_by_quadrature,
@@ -50,7 +50,7 @@ class TestGramMatrix:
     def test_identity_only(self):
         system = gram_matrix([Word.identity(2)])
         assert system.gram.tolist() == [[0.0]]
-        assert system.jitter == 0.0
+        assert system.incidence.shape == (1, 0)
         assert system.sample(3).tolist() == [0.0]
 
     def test_two_words_sharing_a_prefix(self):
@@ -78,8 +78,7 @@ class TestGramMatrix:
     def test_ball_is_positive_semidefinite(self):
         system = gram_matrix(ball(4, 2))
         assert system.min_eigenvalue() >= -1e-8
-        assert system.reconstruction_error() <= 1e-10
-        assert system.jitter <= 1e-9
+        assert np.array_equal(system.gram, gromov_products(system.words))
 
     def test_random_marginal_sets(self):
         rng = random.Random(19)
@@ -89,7 +88,16 @@ class TestGramMatrix:
                 words.add(Word(random_letters(rng, rng.randint(0, 8), 2), 2))
             system = gram_matrix(sorted(words, key=str))
             assert system.min_eigenvalue() >= -1e-8
-            assert system.reconstruction_error() <= 1e-10
+            assert np.array_equal(system.gram, gromov_products(system.words))
+            assert np.array_equal(
+                system.incidence.sum(axis=1), [len(g) for g in system.words]
+            )
+
+    @pytest.mark.parametrize("radius,rank", [(4, 2), (5, 2), (6, 2), (3, 3)])
+    def test_ball_gram_equals_gromov_products(self, radius, rank):
+        system = gram_matrix(ball(radius, rank))
+        assert np.array_equal(system.gram, gromov_products(system.words))
+        assert np.array_equal(system.incidence.sum(axis=1), [len(g) for g in system.words])
 
     def test_variance_is_word_length(self):
         words = [w("a"), w("abab"), w("BaB")]
