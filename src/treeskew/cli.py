@@ -42,7 +42,7 @@ from .koopman import (
 )
 from .profiles import ProfileVector
 from .selftest import KNOWN_FAULTS, run_selftest
-from .words import ball
+from .words import ball, ball_size
 
 EXIT_OK = 0
 EXIT_TEST_FAILURE = 1
@@ -205,10 +205,12 @@ def cmd_decay(config: ExperimentConfig) -> int:
     )
     with _open_out(config.out) as fh:
         emit_csv(curve, fh)
-    rows = curve.rows()
+    last = [pt for pt in curve.points if pt.radius == config.max_radius]
+    last_count = sum(len(pt.words) for pt in last)
+    last_mean = math.fsum(len(pt.words) * pt.estimate.value for pt in last) / last_count
     print(
         f"decay: {system.label()} {profile.label()} shells=1..{config.max_radius} "
-        f"points={len(curve.points)} last_mean={rows[-1].mean:.6g}",
+        f"points={sum(len(pt.words) for pt in curve.points)} last_mean={last_mean:.6g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -229,15 +231,17 @@ def cmd_window(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-_GRAM_RADIUS_LIMIT = 4
+_GRAM_WORD_LIMIT = ball_size(4, 2)
 
 
 def cmd_gram(config: ExperimentConfig) -> int:
     validate_config(config)
-    if config.max_radius > _GRAM_RADIUS_LIMIT:
+    size = ball_size(config.max_radius, config.rank)
+    if size > _GRAM_WORD_LIMIT:
         raise ConfigError(
-            f"max_radius: gram emits a dense matrix, so the ball radius is "
-            f"capped at {_GRAM_RADIUS_LIMIT}; got {config.max_radius}"
+            f"max_radius: gram emits a dense matrix, so its ball is capped at "
+            f"{_GRAM_WORD_LIMIT} words; radius {config.max_radius} at rank {config.rank} "
+            f"has {size} words"
         )
     words = ball(config.max_radius, config.rank)
     system = gram_matrix(words)

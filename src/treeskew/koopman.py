@@ -49,7 +49,6 @@ __all__ = [
     "symmetric_difference",
     "symmetric_difference_mc",
     "DecayPoint",
-    "ShellStats",
     "DecayCurve",
     "decay_sweep",
     "SweepRow",
@@ -255,63 +254,39 @@ def symmetric_difference_mc(
 
 @dataclass(frozen=True)
 class DecayPoint:
-    """One evaluated word in a decay sweep."""
+    """One estimate of a decay sweep and the words of shell ``radius`` it covers.
+
+    An exact or quadrature point covers every sampled word of its shell,
+    because those coefficients depend on a word only through its length;
+    a Monte Carlo point covers one word, estimated from its own edge draws.
+    """
 
     radius: int
-    word: Word
+    words: tuple[Word, ...]
     estimate: CoefficientEstimate
 
 
 @dataclass(frozen=True)
-class ShellStats:
-    """Aggregate of the coefficient over the evaluated words of one shell."""
-
-    radius: int
-    count: int
-    minimum: float
-    mean: float
-    maximum: float
-
-
-@dataclass(frozen=True)
 class DecayCurve:
-    """A decay sweep: per-word estimates plus per-shell aggregates."""
+    """A decay sweep: its points in radius order, one CSV row per covered word."""
 
     system: SystemSpec
     profile: ProfileVector
     points: tuple[DecayPoint, ...]
-
-    def rows(self) -> list[ShellStats]:
-        by_radius: dict[int, list[float]] = {}
-        for pt in self.points:
-            by_radius.setdefault(pt.radius, []).append(pt.estimate.value)
-        out = []
-        for radius in sorted(by_radius):
-            vals = by_radius[radius]
-            out.append(
-                ShellStats(
-                    radius,
-                    len(vals),
-                    min(vals),
-                    math.fsum(vals) / len(vals),
-                    max(vals),
-                )
-            )
-        return out
 
 
 _ENUMERATION_LIMIT = 100_000
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> list[Word]:
+def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> tuple[Word, ...]:
     if cap is None or shell_size(length, rank) <= cap:
-        return shell(length, rank)
+        return tuple(shell(length, rank))
     rng = random.Random(f"shell:{seed}:{length}")
     chosen: dict[Word, None] = {}  # distinct words in first-drawn order
     while len(chosen) < cap:
         chosen[sample_word(length, rank, rng)] = None
-    return list(chosen)
+    return tuple(chosen)
 
 
 def decay_sweep(
@@ -326,15 +301,17 @@ def decay_sweep(
 
     Shells are enumerated exhaustively when they fit under the cap and
     sampled uniformly (seeded, without replacement) otherwise.  The exact
-    and quadrature routes evaluate once per length and share that estimate
-    across the words of the shell, so their min/mean/max aggregates agree
-    by construction.  Only the Monte Carlo route evaluates each word
-    through its own edge draws, and there the spread is a real check: any
-    spread beyond the noise would reveal a dependence on word shape beyond
-    length.
+    and quadrature routes evaluate once per length, so the curve holds one
+    point per shell, covering all of its sampled words.  Only the Monte
+    Carlo route evaluates each word through its own edge draws and holds
+    one point per word; there the spread within a shell is a real check:
+    any spread beyond the noise would reveal a dependence on word shape
+    beyond length.
     """
     if max_radius < 1:
         raise ValueError(f"max_radius must be >= 1, got {max_radius}")
+    if per_shell_cap is not None and per_shell_cap < 1:
+        raise ValueError(f"per_shell_cap must be >= 1, got {per_shell_cap}")
     _check_method(method)
     _check_support(system, profile, profile)
     for length in range(1, max_radius + 1):
@@ -348,10 +325,10 @@ def decay_sweep(
         if method == "mc":
             for w in words:
                 est = coefficient(system, w, profile, profile, budget=budget, method="mc")
-                points.append(DecayPoint(length, w, est))
+                points.append(DecayPoint(length, (w,), est))
         else:
             est = _length_coefficient(system, length, profile, profile, seed)
-            points.extend(DecayPoint(length, w, est) for w in words)
+            points.append(DecayPoint(length, words, est))
     return DecayCurve(system, profile, tuple(points))
 
 
@@ -447,24 +424,14 @@ def _write_csv(obj, fh) -> None:
         system, profile = obj.system.label(), obj.profile.label()
         for pt in obj.points:
             est = pt.estimate
-            writer.writerow(
-                [
-                    system,
-                    profile,
-                    pt.radius,
-                    str(pt.word),
-                    est.method,
-                    _fmt(est.value),
-                    _fmt(est.stderr),
-                    est.samples,
-                    est.seed,
-                ]
-            )
+            tail = (est.method, _fmt(est.value), _fmt(est.stderr), est.samples, est.seed)
+            writer.writerows((system, profile, pt.radius, str(w), *tail) for w in pt.words)
     elif isinstance(obj, SweepTable):
         writer.writerow(["system", "ball_radius", "n", "sup_defect", "bound"])
-        for row in obj.rows:
-            writer.writerow(
-                [obj.system.label(), obj.ball_radius, row.n, _fmt(row.sup_defect), _fmt(row.bound)]
-            )
+        system = obj.system.label()
+        writer.writerows(
+            (system, obj.ball_radius, row.n, _fmt(row.sup_defect), _fmt(row.bound))
+            for row in obj.rows
+        )
     else:
         raise TypeError(f"cannot emit CSV for {type(obj).__name__}")

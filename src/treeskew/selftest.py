@@ -348,9 +348,10 @@ def suite_koopman() -> List[Check]:
     table = almost_invariant_sweep(osys, 3, [10, 100])
     ok = all(row.sup_defect <= row.bound + 1e-12 for row in table.rows)
     curve = decay_sweep(osys, ProfileVector.gaussian(), 6, per_shell_cap=4)
-    maxima = [row.maximum for row in curve.rows()]
-    ok = ok and all(b < a for a, b in zip(maxima, maxima[1:]))
-    ok = ok and all(abs(pt.estimate.value) <= 1.0 + 1e-12 for pt in curve.points)
+    values = [pt.estimate.value for pt in curve.points]
+    ok = ok and [pt.radius for pt in curve.points] == list(range(1, 7))
+    ok = ok and all(b < a for a, b in zip(values, values[1:]))
+    ok = ok and all(abs(v) <= 1.0 + 1e-12 for v in values)
     checks.append(Check("sweeps: certified window bound and decay", ok))
     return checks
 

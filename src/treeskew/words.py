@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -50,6 +51,10 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(s)
     return tuple(out)
+
+
+# Letter s of a rank <= 26 word sits at index s; its inverse -s indexes from the end.
+_LETTERS = "?" + string.ascii_lowercase + string.ascii_uppercase[::-1]
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,7 @@ class Word:
         if not self.letters:
             return "1"
         if self.rank <= 26:
-            return "".join(
-                chr(ord("a") + s - 1) if s > 0 else chr(ord("A") - s - 1)
-                for s in self.letters
-            )
+            return "".join(map(_LETTERS.__getitem__, self.letters))
         return " ".join(f"a{s}" if s > 0 else f"a{-s}^-1" for s in self.letters)
 
 

@@ -135,7 +135,15 @@ class TestExitCodes:
 
     def test_gram_radius_cap(self, capsys):
         assert main(["gram", "--max-radius", "5"]) == 2
-        assert "capped at 4" in capsys.readouterr().err
+        assert "capped at 161 words; radius 5 at rank 2 has 485 words" in capsys.readouterr().err
+
+    def test_gram_rank_cap_checked_before_ball(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ball was built before the word-count check")
+
+        monkeypatch.setattr(treeskew.cli, "ball", refuse)
+        assert main(["gram", "--max-radius", "4", "--rank", "5"]) == 2
+        assert "radius 4 at rank 5 has 8201 words" in capsys.readouterr().err
 
     def test_selftest_clean(self, capsys):
         assert main(["selftest", "--verbosity", "0"]) == 0

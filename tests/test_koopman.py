@@ -312,21 +312,28 @@ class TestDecaySweep:
 
     def test_shell_counts_and_aggregates(self):
         curve = decay_sweep(OSYS, ProfileVector.gaussian(), 4, per_shell_cap=10)
-        rows = curve.rows()
-        assert [row.radius for row in rows] == [1, 2, 3, 4]
-        assert [row.count for row in rows] == [4, 10, 10, 10]
+        counts = {}
+        for pt in curve.points:
+            counts[pt.radius] = counts.get(pt.radius, 0) + len(pt.words)
+        assert counts == {1: 4, 2: 10, 3: 10, 4: 10}
 
     @pytest.mark.parametrize("system", [OSYS, GSYS])
     def test_value_depends_only_on_length(self, system):
-        curve = decay_sweep(system, ProfileVector.gaussian(), 5, per_shell_cap=8)
-        for row in curve.rows():
-            assert row.maximum - row.minimum <= 1e-12
+        # an exact sweep holds one point per radius, covering every sampled word of its shell
+        profile = ProfileVector.gaussian()
+        curve = decay_sweep(system, profile, 5, per_shell_cap=8)
+        assert [pt.radius for pt in curve.points] == [1, 2, 3, 4, 5]
+        for pt in curve.points:
+            assert pt.words == koopman._shell_words(pt.radius, system.rank, 8, 0)
+            assert len(set(pt.words)) == min(8, 4 * 3 ** (pt.radius - 1))
+            assert all(coefficient(system, w, profile, profile) == pt.estimate for w in pt.words)
 
     def test_means_strictly_decrease(self):
         for system in (OSYS, GSYS):
             curve = decay_sweep(system, ProfileVector.gaussian(), 8, per_shell_cap=5)
-            means = [row.mean for row in curve.rows()]
-            assert all(b < a for a, b in zip(means, means[1:]))
+            values = [pt.estimate.value for pt in curve.points]
+            assert len(values) == 8
+            assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_mc_method_reproducible(self):
         budget = MCBudget(2_000, seed=9)
@@ -336,11 +343,14 @@ class TestDecaySweep:
             pt.estimate.value for pt in two.points
         ]
         assert all(pt.estimate.method == "monte-carlo" for pt in one.points)
+        # Monte Carlo estimates each word from its own draws: one point per word
+        assert [len(pt.words) for pt in one.points] == [1] * (4 + 6 + 6)
+        assert [pt.radius for pt in one.points] == [1] * 4 + [2] * 6 + [3] * 6
 
     def test_sampled_shells_are_distinct_words(self):
         curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, per_shell_cap=12)
         for radius in (5, 6):
-            words = [pt.word for pt in curve.points if pt.radius == radius]
+            words = [w for pt in curve.points if pt.radius == radius for w in pt.words]
             assert len(words) == len(set(words)) == 12
             assert all(len(word) == radius for word in words)
 
@@ -366,6 +376,16 @@ class TestDecaySweep:
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             decay_sweep(OSYS, ProfileVector.gaussian(), 3, method="bogus")
 
+    @pytest.mark.parametrize("cap,method", [(0, "auto"), (-3, "auto"), (0, "mc")])
+    def test_nonpositive_cap_rejected_before_any_shell(self, monkeypatch, cap, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shell was enumerated before the cap check")
+
+        monkeypatch.setattr(koopman, "_shell_words", refuse)
+        with pytest.raises(ValueError, match=f"per_shell_cap must be >= 1, got {cap}"):
+            decay_sweep(OSYS, ProfileVector.gaussian(), 3, per_shell_cap=cap,
+                        budget=MCBudget(10), method=method)
+
     @pytest.mark.parametrize("system", [OSYS, GSYS])
     def test_sweep_matches_per_word_coefficient(self, system):
         profiles = [ProfileVector.gaussian(), ProfileVector.window(3),
@@ -375,9 +395,11 @@ class TestDecaySweep:
         for prof in profiles:
             for method in ("auto", "exact"):
                 curve = decay_sweep(system, prof, 4, method=method)
-                assert len(curve.points) == sum(4 * 3 ** (L - 1) for L in range(1, 5))
+                words = [w for pt in curve.points for w in pt.words]
+                assert len(words) == sum(4 * 3 ** (L - 1) for L in range(1, 5))
                 for pt in curve.points:
-                    assert pt.estimate == coefficient(system, pt.word, prof, prof, method=method)
+                    for word in pt.words:
+                        assert pt.estimate == coefficient(system, word, prof, prof, method=method)
 
     @pytest.mark.parametrize("method", ["auto", "exact"])
     def test_exact_sweep_evaluates_once_per_length(self, monkeypatch, method):
@@ -391,7 +413,8 @@ class TestDecaySweep:
         monkeypatch.setattr(koopman, "_length_coefficient", counted)
         curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method=method)
         assert lengths == [1, 2, 3, 4, 5, 6]
-        assert len(curve.points) == sum(4 * 3 ** (L - 1) for L in range(1, 7))
+        assert len(curve.points) == 6
+        assert [len(pt.words) for pt in curve.points] == [4 * 3 ** (L - 1) for L in range(1, 7)]
 
 
 class TestAlmostInvariantSweep:
@@ -470,7 +493,7 @@ class TestCsvEmission:
         assert bufs[0] == bufs[1]
         lines = bufs[0].splitlines()
         assert lines[0] == "system,profile,radius,word,method,value,stderr,samples,seed"
-        assert len(lines) == 1 + len(curve.points)
+        assert len(lines) == 1 + sum(len(pt.words) for pt in curve.points)
         assert lines[1].startswith("orientation(p=0.7),gaussian[unit],1,")
 
     def test_float_round_trip_at_17_digits(self):
@@ -481,9 +504,11 @@ class TestCsvEmission:
         emit_csv(curve, buf)
         buf.seek(0)
         rows = list(csv_mod.DictReader(buf))
-        for row, pt in zip(rows, curve.points):
+        pairs = [(pt, w) for pt in curve.points for w in pt.words]
+        assert len(rows) == len(pairs)
+        for row, (pt, word) in zip(rows, pairs):
             assert float(row["value"]) == pt.estimate.value
-            assert row["word"] == str(pt.word)
+            assert row["word"] == str(word)
 
     def test_sweep_schema(self):
         table = almost_invariant_sweep(GSYS, 3, [10, 100])

@@ -73,6 +73,16 @@ class TestParsing:
             word = Word(random_letters(rng, rng.randint(0, 9), 2), 2)
             assert parse_word(str(word), 2) == word
 
+    def test_str_round_trip_every_letter_at_rank_26(self):
+        for s in range(1, 27):
+            for letters, text in (((s,), chr(ord("a") + s - 1)), ((-s,), chr(ord("A") + s - 1))):
+                word = Word(letters, 26)
+                assert str(word) == text
+                assert parse_word(text, 26) == word
+        word = Word(tuple(range(1, 27)) + tuple(range(-1, -27, -1)), 26)
+        assert str(word) == "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        assert parse_word(str(word), 26) == word
+
     def test_str_round_trip_wide_rank(self):
         word = Word((27, -3, 27), 30)
         assert "a27" in str(word)
