@@ -1,12 +1,17 @@
 """Skew products over free-group trees: cocycles, coefficients, decay.
 
-The package builds two measure-preserving skew products over the Cayley
-tree of a free group (Bernoulli edge orientations with an integer
-cocycle, and a Gaussian field indexed by tree edges), evaluates matrix
-coefficients of their Koopman representations along exact and Monte
-Carlo routes, and checks the resulting decay and almost-invariance
-certificates.  A small Hilbert-Schmidt bench mirrors the coefficient
-computations at the operator level.
+The package builds two skew products over the Cayley tree of a free
+group (Bernoulli edge orientations with an integer cocycle, and a
+Gaussian field indexed by tree edges), evaluates matrix coefficients of
+their Koopman representations along exact and Monte Carlo routes, and
+checks the resulting decay and almost-invariance certificates.  A small
+Hilbert-Schmidt bench mirrors the coefficient computations at the
+operator level.
+
+The Gaussian system, and the orientation system at ``p = 1/2``, preserve
+their measures.  At ``p != 1/2`` the orientation action is only
+nonsingular, and its values omit the Radon-Nikodym factor of the Koopman
+operator, so they are not positive definite (see :mod:`treeskew.koopman`).
 """
 
 from .words import (

@@ -12,7 +12,9 @@ Configuration comes from flags, optionally layered over a ``--config``
 file of ``key=value`` lines (same keys as the flags, underscores instead
 of dashes; ``#`` starts a comment).  Flags override the file.  CSV goes
 to ``--out`` or stdout; one-line summaries go to stderr so stdout stays
-machine-readable.
+machine-readable.  ``--out`` is opened once every check that can reject
+the request has passed, and before any shell, sample or matrix is built,
+so an invalid request leaves no file and an unwritable one costs no work.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid configuration,
 3 I/O failure.
@@ -35,6 +37,7 @@ from .gaussian import gram_matrix
 from .koopman import (
     MCBudget,
     SystemSpec,
+    _check_sweep,
     _fmt,
     almost_invariant_sweep,
     decay_sweep,
@@ -67,7 +70,7 @@ class ExperimentConfig:
     window_sizes: tuple[int, ...] = (10, 100, 1000)
     samples: int = 100_000
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted and validated, but it selects nothing
     method: str = "auto"
     out: Optional[str] = None
 
@@ -194,16 +197,16 @@ def cmd_decay(config: ExperimentConfig) -> int:
     validate_config(config)
     system = _system_spec(config)
     profile = parse_profile(config.profile)
-    budget = MCBudget(config.samples, config.seed, config.workers)
-    curve = decay_sweep(
-        system,
-        profile,
-        config.max_radius,
-        per_shell_cap=config.shell_cap,
-        budget=budget,
-        method=config.method,
-    )
+    _check_sweep(system, profile, config.max_radius, config.shell_cap, config.method)
     with _open_out(config.out) as fh:
+        curve = decay_sweep(
+            system,
+            profile,
+            config.max_radius,
+            per_shell_cap=config.shell_cap,
+            budget=MCBudget(config.samples, config.seed),
+            method=config.method,
+        )
         emit_csv(curve, fh)
     last = [pt for pt in curve.points if pt.radius == config.max_radius]
     last_count = sum(len(pt.words) for pt in last)
@@ -219,8 +222,8 @@ def cmd_decay(config: ExperimentConfig) -> int:
 def cmd_window(config: ExperimentConfig) -> int:
     validate_config(config)
     system = _system_spec(config)
-    table = almost_invariant_sweep(system, config.max_radius, config.window_sizes)
     with _open_out(config.out) as fh:
+        table = almost_invariant_sweep(system, config.max_radius, config.window_sizes)
         emit_csv(table, fh)
     worst = max((row.sup_defect for row in table.rows), default=0.0)
     print(
@@ -243,10 +246,10 @@ def cmd_gram(config: ExperimentConfig) -> int:
             f"{_GRAM_WORD_LIMIT} words; radius {config.max_radius} at rank {config.rank} "
             f"has {size} words"
         )
-    words = ball(config.max_radius, config.rank)
-    system = gram_matrix(words)
-    labels = [str(w) for w in words]
     with _open_out(config.out) as fh:
+        words = ball(config.max_radius, config.rank)
+        system = gram_matrix(words)
+        labels = [str(w) for w in words]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "word_i", "word_j", "value"])
         for i, wi in enumerate(labels):
@@ -327,7 +330,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--samples", type=int, metavar="N")
     parser.add_argument("--seed", type=int, metavar="SEED")
-    parser.add_argument("--workers", type=int, metavar="W")
+    parser.add_argument(
+        "--workers", type=int, metavar="W", help="accepted (>= 1) and has no effect"
+    )
     parser.add_argument("--method", choices=["auto", "exact", "mc"])
     parser.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
 

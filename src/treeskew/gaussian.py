@@ -72,9 +72,6 @@ class GaussianSystem:
         rng = np.random.Generator(np.random.PCG64(seed))
         return rng.standard_normal((n, self.incidence.shape[1])) @ self.incidence.T
 
-    def sample(self, seed: int) -> np.ndarray:
-        return self.sample_matrix(1, seed)[0]
-
 
 def gram_matrix(words: Sequence[Word]) -> GaussianSystem:
     """Build the Gaussian marginal system on a duplicate-free word list.

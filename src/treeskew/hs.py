@@ -33,7 +33,6 @@ __all__ = [
     "random_unitary",
     "random_unit_vector",
     "rotation_unitary",
-    "window_projection_demo",
 ]
 
 
@@ -163,20 +162,3 @@ def rotation_unitary(theta: float) -> FiniteUnitary:
     """The 2x2 real rotation by ``theta``."""
     c, s = math.cos(theta), math.sin(theta)
     return FiniteUnitary(np.array([[c, -s], [s, c]]))
-
-
-def window_projection_demo(n: int, dim: int, half_width: float) -> HSOperator:
-    """Rank-one projection onto a discretized window profile.
-
-    The window indicator on [-n, n] is sampled on a uniform grid over
-    [-half_width, half_width] and normalized; purely a demonstration
-    bridging the profile picture and the operator bench.
-    """
-    if dim < 2:
-        raise ValueError(f"grid dimension must be >= 2, got {dim}")
-    grid = np.linspace(-half_width, half_width, dim)
-    v = (np.abs(grid) <= n).astype(np.complex128)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("window does not meet the grid; widen it")
-    return rank_one(v / norm, v / norm)

@@ -6,6 +6,15 @@ system (the Bernoulli orientation system at parameter ``p``, or the
 Gaussian system), sweeps them over shells of the group, and emits the
 results as deterministic CSV.
 
+Every value is ``E_mu[K(S_g)]``: the profile correlation kernel ``K``
+averaged over the shift ``S_g`` under the base measure ``mu``.  That is
+a Koopman matrix coefficient when the action preserves ``mu``, as the
+Gaussian system and the orientation system at ``p = 1/2`` do.  At
+``p != 1/2`` the orientation action is only nonsingular: the unitary
+Koopman operator carries the factor ``sqrt(d g_*mu / d mu)``, which is
+not applied here, so those values are not positive definite functions
+of ``g``.
+
 Exact routes come first: the orientation system averages the profile
 correlation against the binomial path-sum law, and the Gaussian system
 uses the erf/quadrature closed forms.  Monte Carlo is the independent
@@ -13,7 +22,7 @@ cross-check, driven by the actual skew machinery (orientation seeds
 through the edge PRF, Gaussian shifts ``sqrt(|g|) * N(0, 1)`` from one
 ``PCG64(seed)`` stream), streamed in fixed-size blocks
 (:mod:`treeskew.parallel`) so that memory stays bounded and results are
-bit-identical for a fixed seed at any worker count.
+bit-identical for a fixed seed.
 
 CSV schemas (all reals printed with 17 significant digits):
 
@@ -97,17 +106,14 @@ def gaussian_system(rank: int = 2) -> SystemSpec:
 
 @dataclass(frozen=True)
 class MCBudget:
-    """Monte Carlo budget: sample count, base seed, worker threads (no effect on results)."""
+    """Monte Carlo budget: sample count and base seed."""
 
     samples: int = 100_000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -153,17 +159,17 @@ def _check_support(system: SystemSpec, xi: ProfileVector, eta: ProfileVector) ->
 def _mc_estimate(system: SystemSpec, g: Word, budget: Optional[MCBudget], kernel):
     """Monte Carlo mean of ``kernel(shift)`` over the skew shifts of ``g``.
 
-    Orientation blocks may run on any worker.  The Gaussian shift of ``g``
+    Orientation draws come from the edge PRF.  The Gaussian shift of ``g``
     is ``N(0, |g|)``, drawn as ``sqrt(|g|)`` times one sequential
-    ``PCG64(seed)`` normal stream, so its blocks run in order on one thread.
+    ``PCG64(seed)`` normal stream, read in block order.
     """
     budget = budget or MCBudget()
     if system.kind == "orientation":
-        draws, workers = cocycle_sampler(g, system.p, budget.seed), budget.workers
+        draws = cocycle_sampler(g, system.p, budget.seed)
     else:
         rng, sigma = np.random.Generator(np.random.PCG64(budget.seed)), math.sqrt(len(g))
-        draws, workers = (lambda lo, hi: sigma * rng.standard_normal(hi - lo)), 1
-    parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples, workers)
+        draws = lambda lo, hi: sigma * rng.standard_normal(hi - lo)
+    parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples)
     return CoefficientEstimate(*mean_stderr(parts), "monte-carlo", budget.samples, budget.seed)
 
 
@@ -289,6 +295,26 @@ def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> tuple
     return tuple(chosen)
 
 
+def _check_sweep(
+    system: SystemSpec,
+    profile: ProfileVector,
+    max_radius: int,
+    per_shell_cap: Optional[int],
+    method: str,
+) -> None:
+    """Reject a :func:`decay_sweep` request before any shell is enumerated."""
+    if max_radius < 1:
+        raise ValueError(f"max_radius must be >= 1, got {max_radius}")
+    if per_shell_cap is not None and per_shell_cap < 1:
+        raise ValueError(f"per_shell_cap must be >= 1, got {per_shell_cap}")
+    _check_method(method)
+    _check_support(system, profile, profile)
+    for length in range(1, max_radius + 1):
+        size = shell_size(length, system.rank)
+        if per_shell_cap is None and size > _ENUMERATION_LIMIT:
+            raise ValueError(f"shell of length {length} has {size} words; pass per_shell_cap")
+
+
 def decay_sweep(
     system: SystemSpec,
     profile: ProfileVector,
@@ -308,16 +334,7 @@ def decay_sweep(
     any spread beyond the noise would reveal a dependence on word shape
     beyond length.
     """
-    if max_radius < 1:
-        raise ValueError(f"max_radius must be >= 1, got {max_radius}")
-    if per_shell_cap is not None and per_shell_cap < 1:
-        raise ValueError(f"per_shell_cap must be >= 1, got {per_shell_cap}")
-    _check_method(method)
-    _check_support(system, profile, profile)
-    for length in range(1, max_radius + 1):
-        size = shell_size(length, system.rank)
-        if per_shell_cap is None and size > _ENUMERATION_LIMIT:
-            raise ValueError(f"shell of length {length} has {size} words; pass per_shell_cap")
+    _check_sweep(system, profile, max_radius, per_shell_cap, method)
     seed = budget.seed if budget is not None else 0
     points = []
     for length in range(1, max_radius + 1):

@@ -53,9 +53,12 @@ class OrientationMeasure:
     """Bernoulli product law on orientations.
 
     Each edge independently points toward the base vertex with probability
-    ``p``.  Values of ``p`` in the open interval (0, 1) are accepted;
-    ``p = 1/2`` gives the driftless (non-transient) regime, kept around for
-    contrast experiments, and is flagged by :attr:`transient`.
+    ``p``, for any ``p`` in the open interval (0, 1).  Only ``p = 1/2``
+    makes the law invariant under the group.  A translate ``g`` reverses
+    the reference direction of the edges on the path from the base vertex
+    to ``g``, so under ``g_* mu`` those edges point toward the base vertex
+    with probability ``1 - p``.  At ``p != 1/2`` the action is therefore
+    only nonsingular, not measure-preserving.
     """
 
     p: float
@@ -70,10 +73,6 @@ class OrientationMeasure:
     @property
     def basepoint(self) -> Word:
         return Word.identity(self.rank)
-
-    @property
-    def transient(self) -> bool:
-        return self.p != 0.5
 
 
 class Orientation:
@@ -250,14 +249,14 @@ def cocycle_sampler(g: Word, p: float, seed: int) -> Callable[[int, int], np.nda
     return draws
 
 
-def cocycle_samples(g: Word, p: float, seed: int, n: int, workers: int = 1) -> np.ndarray:
+def cocycle_samples(g: Word, p: float, seed: int, n: int) -> np.ndarray:
     """``n`` i.i.d. draws of the cocycle value of ``g``, as an int64 array.
 
     These are the draws of :func:`cocycle_sampler` over fixed blocks: the
     output is bit-identical to a scalar :func:`group_cocycle` loop over the
-    seeds ``sample_seed(seed, i)``, at any worker count.
+    seeds ``sample_seed(seed, i)``.
     """
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
     draws = cocycle_sampler(g, p, seed)
-    return np.concatenate([np.zeros(0, dtype=np.int64), *map_blocks(draws, n, workers)])
+    return np.concatenate([np.zeros(0, dtype=np.int64), *map_blocks(draws, n)])

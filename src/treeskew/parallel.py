@@ -1,17 +1,16 @@
-"""Fixed-size sample blocks and their worker-independent reduction.
+"""Fixed-size sample blocks and their ordered reduction.
 
-``n`` samples are cut into consecutive blocks of :data:`BLOCK_SIZE`
-whatever the worker count; each block is reduced to ``(count, mean, M2)``
-and the blocks are merged in block order with the pairwise update of
-Chan, Golub and LeVeque (1979).  Workers only choose which thread computes
-which block, so results are bit-identical at any worker count, and memory
-holds one block per worker.
+``n`` samples are cut into consecutive blocks of :data:`BLOCK_SIZE`, which
+run one after another on the calling thread; each block is reduced to
+``(count, mean, M2)`` and the blocks are merged in block order with the
+pairwise update of Chan, Golub and LeVeque (1979).  So a reduction holds
+one block of samples at a time whatever ``n`` is, and a fixed seed gives
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -21,16 +20,9 @@ T = TypeVar("T")
 BLOCK_SIZE = 1 << 12  # small enough that one block's PRF words stay in cache
 
 
-def map_blocks(fn: Callable[[int, int], T], n: int, workers: int = 1) -> list[T]:
-    """Apply ``fn(lo, hi)`` to the blocks covering ``range(n)``, in block order.
-
-    With one worker the blocks also run in that order, on the calling thread.
-    """
-    bounds = [(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
-    if len(bounds) <= 1 or workers <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*bounds)))
+def map_blocks(fn: Callable[[int, int], T], n: int) -> list[T]:
+    """Apply ``fn(lo, hi)`` to the blocks covering ``range(n)``, in block order."""
+    return [fn(lo, min(lo + BLOCK_SIZE, n)) for lo in range(0, n, BLOCK_SIZE)]
 
 
 def block_moments(x: np.ndarray) -> tuple[int, float, float]:

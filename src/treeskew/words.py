@@ -13,12 +13,11 @@ no floating point anywhere in the geometry.
 
 from __future__ import annotations
 
-import itertools
 import random
 import string
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rng import GOLDEN, MASK64, fingerprint_letters, mix64
 
@@ -33,7 +32,6 @@ __all__ = [
     "median",
     "act_on_edge",
     "letter_order",
-    "iter_words",
     "ball",
     "ball_size",
     "shell",
@@ -102,13 +100,7 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         _check_ranks(self, other)
-        out = list(self.letters)
-        for s in other.letters:
-            if out and out[-1] == -s:
-                out.pop()
-            else:
-                out.append(s)
-        return Word(tuple(out), self.rank)
+        return Word(_reduce(self.letters + other.letters), self.rank)
 
     def __invert__(self) -> "Word":
         return Word(tuple(-s for s in reversed(self.letters)), self.rank)
@@ -295,12 +287,6 @@ def act_on_edge(g: Word, edge: CanonicalEdge) -> tuple[CanonicalEdge, int]:
 def letter_order(rank: int) -> list[int]:
     """Deterministic letter ordering used by all enumerations."""
     return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
-
-
-def iter_words(rank: int) -> Iterator[Word]:
-    """Yield every reduced word in breadth-first order (infinite)."""
-    for length in itertools.count():
-        yield from shell(length, rank)
 
 
 def ball(radius: int, rank: int) -> list[Word]:

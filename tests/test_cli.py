@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from treeskew.cli import (
     serialize_config,
     validate_config,
 )
+from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
 from treeskew.words import ball
 
@@ -133,6 +135,30 @@ class TestExitCodes:
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["window", "--out", str(dest)]) == 3
 
+    @pytest.mark.parametrize(
+        "command,stage",
+        [("decay", "decay_sweep"), ("window", "almost_invariant_sweep"), ("gram", "gram_matrix")],
+    )
+    def test_unwritable_out_fails_before_any_work(
+        self, monkeypatch, tmp_path, capsys, command, stage
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was opened")
+
+        monkeypatch.setattr(treeskew.cli, stage, refuse)
+        dest = tmp_path / "missing" / "out.csv"
+        assert main([command, "--out", str(dest)]) == 3
+        assert "missing" in capsys.readouterr().err
+
+    def test_rejected_request_creates_no_out_file(self, tmp_path, capsys):
+        dest = tmp_path / "f.csv"
+        argv = ["decay", "--out", str(dest)]
+        assert main(argv + ["--system", "orientation", "--profile", "cauchy"]) == 2
+        assert "orientation system supports" in capsys.readouterr().err
+        assert main(argv + ["--max-radius", "0"]) == 2
+        assert "max_radius must be >= 1" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_gram_radius_cap(self, capsys):
         assert main(["gram", "--max-radius", "5"]) == 2
         assert "capped at 161 words; radius 5 at rank 2 has 485 words" in capsys.readouterr().err
@@ -156,6 +182,18 @@ class TestExitCodes:
         # the hook must have been reverted
         assert main(["selftest", "--verbosity", "0"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("system", ["orientation", "gaussian"])
+def test_mc_decay_starts_no_thread(monkeypatch, capsys, system):
+    def refuse(self):
+        raise AssertionError("the Monte Carlo path started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    argv = ["decay", "--system", system, "--method", "mc", "--samples", str(2 * BLOCK_SIZE + 1),
+            "--max-radius", "2", "--shell-cap", "2", "--workers", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith("decay:")
 
 
 def run_to_file(argv, path):

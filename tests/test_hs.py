@@ -16,7 +16,6 @@ from treeskew.hs import (
     rank_one,
     rotation_unitary,
     trace,
-    window_projection_demo,
 )
 from treeskew.selftest import run_selftest
 
@@ -215,14 +214,3 @@ class TestHelpers:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             FiniteUnitary(2.0 * np.eye(3))
-
-    def test_window_projection_demo(self):
-        op = window_projection_demo(2, 64, 8.0)
-        assert trace(op) == pytest.approx(1.0)
-        assert np.allclose(op.matrix @ op.matrix, op.matrix, atol=1e-12)
-
-    def test_window_projection_validation(self):
-        with pytest.raises(ValueError, match="dimension"):
-            window_projection_demo(2, 1, 8.0)
-        with pytest.raises(ValueError, match="grid"):
-            window_projection_demo(1, 4, 100.0)

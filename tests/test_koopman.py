@@ -24,7 +24,8 @@ from treeskew.koopman import (
     symmetric_difference,
     symmetric_difference_mc,
 )
-from treeskew.parallel import BLOCK_SIZE
+from treeskew.orientation import cocycle_sampler
+from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, parse_word
 
@@ -62,8 +63,6 @@ class TestSystemSpec:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             MCBudget(samples=0)
-        with pytest.raises(ValueError):
-            MCBudget(workers=0)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,7 @@ class TestExactRouting:
         xi, eta = ProfileVector.gaussian(), ProfileVector.window(3)
         for system in (OSYS, GSYS):
             with pytest.raises(ValueError, match="no correlation rule"):
-                coefficient(system, w("abab"), xi, eta, MCBudget(50_000, 0, 2), method="mc")
+                coefficient(system, w("abab"), xi, eta, MCBudget(50_000, 0), method="mc")
 
     def test_diagonal_symmetric_under_inverse(self):
         win = ProfileVector.window(3)
@@ -187,18 +186,27 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("system", [OSYS, GSYS])
     def test_worker_count_invisible_across_blocks(self, system):
-        win = ProfileVector.window(3)
-        n = 5 * BLOCK_SIZE + 17
-        one, *more = (
-            coefficient(system, w("abA"), win, win, budget=MCBudget(n, 8, k), method="mc")
-            for k in (1, 2, 3)
+        # a rerun repeats every bit, and the blocked estimate is the ordered
+        # merge of the blocks of one unblocked draw of all n shifts
+        win, g = ProfileVector.window(3), w("abA")
+        n = 2 * BLOCK_SIZE + 1
+        one, two = (
+            coefficient(system, g, win, win, budget=MCBudget(n, 8), method="mc") for _ in range(2)
         )
-        assert all((e.value, e.stderr) == (one.value, one.stderr) for e in more)
+        assert (one.value, one.stderr) == (two.value, two.stderr)
+        if system.kind == "orientation":
+            shifts = cocycle_sampler(g, system.p, 8)(0, n)
+        else:
+            shifts = math.sqrt(len(g)) * np.random.Generator(np.random.PCG64(8)).standard_normal(n)
+        kernel = win.correlation_array(win, shifts)
+        blocks = [block_moments(kernel[lo : lo + BLOCK_SIZE]) for lo in range(0, n, BLOCK_SIZE)]
+        assert len(blocks) == 3
+        assert (one.value, one.stderr) == mean_stderr(blocks)
 
     def test_reproducible_and_worker_invariant(self):
         win = ProfileVector.window(2)
-        a = coefficient(OSYS, w("ab"), win, win, budget=MCBudget(20_000, 3, 1), method="mc")
-        b = coefficient(OSYS, w("ab"), win, win, budget=MCBudget(20_000, 3, 4), method="mc")
+        a = coefficient(OSYS, w("ab"), win, win, budget=MCBudget(20_000, 3), method="mc")
+        b = coefficient(OSYS, w("ab"), win, win, budget=MCBudget(20_000, 3), method="mc")
         assert a.value == b.value
         assert a.stderr == b.stderr
         assert a.method == "monte-carlo"
@@ -296,8 +304,8 @@ class TestSymmetricDifference:
 
     def test_mc_reproducible(self):
         a = ProfileVector.window(2)
-        m1 = symmetric_difference_mc(OSYS, w("ab"), a, MCBudget(10_000, 1, 1))
-        m2 = symmetric_difference_mc(OSYS, w("ab"), a, MCBudget(10_000, 1, 3))
+        m1 = symmetric_difference_mc(OSYS, w("ab"), a, MCBudget(10_000, 1))
+        m2 = symmetric_difference_mc(OSYS, w("ab"), a, MCBudget(10_000, 1))
         assert m1.value == m2.value
 
     def test_smooth_profile_rejected(self):

@@ -11,6 +11,7 @@ from treeskew.orientation import (
     Orientation,
     OrientationMeasure,
     SkewPoint,
+    cocycle_sampler,
     cocycle_samples,
     group_cocycle,
     path_cocycle,
@@ -51,10 +52,6 @@ class TestMeasure:
     def test_rejects_degenerate_p(self, p):
         with pytest.raises(ValueError):
             OrientationMeasure(p)
-
-    def test_transient_flag(self):
-        assert OrientationMeasure(0.7).transient
-        assert not OrientationMeasure(0.5).transient
 
     def test_basepoint(self):
         assert OrientationMeasure(0.6, rank=3).basepoint == Word.identity(3)
@@ -330,7 +327,6 @@ class TestCocycleSamples:
         g, p, seed = w("abAB"), 0.7, 77
         n = BLOCK_SIZE + 200
         draws = cocycle_samples(g, p, seed, n)
-        assert np.array_equal(cocycle_samples(g, p, seed, n, workers=2), draws)
         measure = OrientationMeasure(p)
         # the first draws and those on both sides of the first block boundary
         for i in [*range(200), *range(BLOCK_SIZE - 100, n)]:
@@ -338,10 +334,15 @@ class TestCocycleSamples:
             assert group_cocycle(omega, g) == draws[i]
 
     def test_worker_count_is_invisible(self):
-        g = w("abab")
-        one = cocycle_samples(g, 0.6, 5, 10_001, workers=1)
-        three = cocycle_samples(g, 0.6, 5, 10_001, workers=3)
-        assert np.array_equal(one, three)
+        # draw i depends on (seed, i) only, not on where the blocks split
+        g, n = w("abab"), 2 * BLOCK_SIZE + 1
+        blocked = cocycle_samples(g, 0.6, 5, n)
+        assert np.array_equal(cocycle_samples(g, 0.6, 5, n), blocked)
+        draws = cocycle_sampler(g, 0.6, 5)
+        assert np.array_equal(draws(0, n), blocked)
+        cuts = [0, 100, BLOCK_SIZE + 7, n]
+        split = np.concatenate([draws(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        assert np.array_equal(split, blocked)
 
     def test_parity_and_range(self):
         g = w("ababa")

@@ -14,12 +14,11 @@ def two_pass(x: np.ndarray) -> tuple[float, float]:
 
 def test_blocks_cover_range_in_order():
     n = 3 * BLOCK_SIZE + 5
-    for workers in (1, 2, 3):
-        bounds = map_blocks(lambda lo, hi: (lo, hi), n, workers)
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        assert all(hi - lo == BLOCK_SIZE for lo, hi in bounds[:-1])
-    assert map_blocks(lambda lo, hi: (lo, hi), 0, 2) == []
+    bounds = map_blocks(lambda lo, hi: (lo, hi), n)
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert all(hi - lo == BLOCK_SIZE for lo, hi in bounds[:-1])
+    assert map_blocks(lambda lo, hi: (lo, hi), 0) == []
 
 
 @pytest.mark.parametrize("split", [[1000], [1, 999], [400, 1, 599], [250] * 4])
