@@ -12,115 +12,22 @@ The Gaussian system, and the orientation system at ``p = 1/2``, preserve
 their measures.  At ``p != 1/2`` the orientation action is only
 nonsingular, and its values omit the Radon-Nikodym factor of the Koopman
 operator, so they are not positive definite (see :mod:`treeskew.koopman`).
+
+The package root exports only ``__version__``; import each name from the
+module that defines it, whose ``__all__`` lists its public names:
+
+- :mod:`treeskew.words`: reduced words, geodesics, edges, balls and shells;
+- :mod:`treeskew.rng`: the keyed PRF behind every lazy edge value;
+- :mod:`treeskew.orientation`: orientations, the cocycle, the skew step
+  and the path-sum law;
+- :mod:`treeskew.gaussian`: the Gaussian system and its Gram matrix;
+- :mod:`treeskew.profiles`: profile vectors and their correlation kernels;
+- :mod:`treeskew.numerics`: adaptive quadrature and normal-law helpers;
+- :mod:`treeskew.parallel`: fixed sample blocks and their ordered reduction;
+- :mod:`treeskew.koopman`: coefficients, decay curves and window sweeps;
+- :mod:`treeskew.hs`: the Hilbert-Schmidt projection-defect bench;
+- :mod:`treeskew.selftest` and :mod:`treeskew.cli`: the invariant suites
+  and the command line.
 """
 
-from .words import (
-    Word,
-    parse_word,
-    CanonicalEdge,
-    GeodesicPath,
-    geodesic,
-    distance,
-    median,
-    act_on_edge,
-    ball,
-    ball_size,
-    shell,
-    shell_size,
-)
-from .orientation import (
-    OrientationMeasure,
-    Orientation,
-    SkewPoint,
-    pushforward,
-    path_cocycle,
-    group_cocycle,
-    skew_step,
-    path_sum_law,
-    cocycle_samples,
-)
-from .gaussian import (
-    GaussianSystem,
-    gram_matrix,
-    window_coefficient_by_quadrature,
-)
-from .profiles import ProfileVector
-from .koopman import (
-    UnsupportedProfileError,
-    SystemSpec,
-    orientation_system,
-    gaussian_system,
-    MCBudget,
-    CoefficientEstimate,
-    coefficient,
-    symmetric_difference,
-    symmetric_difference_mc,
-    DecayCurve,
-    decay_sweep,
-    SweepTable,
-    almost_invariant_sweep,
-    emit_csv,
-)
-from .hs import (
-    HSOperator,
-    FiniteUnitary,
-    rank_one,
-    adjoint_act,
-    projection_defect,
-    projection_defect_formula,
-    hs_coefficient,
-)
-from .selftest import run_selftest
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Word",
-    "parse_word",
-    "CanonicalEdge",
-    "GeodesicPath",
-    "geodesic",
-    "distance",
-    "median",
-    "act_on_edge",
-    "ball",
-    "ball_size",
-    "shell",
-    "shell_size",
-    "OrientationMeasure",
-    "Orientation",
-    "SkewPoint",
-    "pushforward",
-    "path_cocycle",
-    "group_cocycle",
-    "skew_step",
-    "path_sum_law",
-    "cocycle_samples",
-    "GaussianSystem",
-    "gram_matrix",
-    "window_coefficient_by_quadrature",
-    "ProfileVector",
-    "UnsupportedProfileError",
-    "SystemSpec",
-    "orientation_system",
-    "gaussian_system",
-    "MCBudget",
-    "CoefficientEstimate",
-    "coefficient",
-    "symmetric_difference",
-    "symmetric_difference_mc",
-    "DecayCurve",
-    "decay_sweep",
-    "SweepTable",
-    "almost_invariant_sweep",
-    "emit_csv",
-    "HSOperator",
-    "FiniteUnitary",
-    "rank_one",
-    "adjoint_act",
-    "projection_defect",
-    "projection_defect_formula",
-    "hs_coefficient",
-    "run_selftest",
-    "__version__",
-]

@@ -10,7 +10,10 @@ Subcommands::
 
 Configuration comes from flags, optionally layered over a ``--config``
 file of ``key=value`` lines (same keys as the flags, underscores instead
-of dashes; ``#`` starts a comment).  Flags override the file.  CSV goes
+of dashes, and ``window_sizes`` for ``--n``; ``#`` starts a comment).
+Flags override the file.  A flag value is parsed exactly as the same
+key's config line, so a malformed value of either is an invalid
+configuration whose message names the field.  CSV goes
 to ``--out`` or stdout; one-line summaries go to stderr so stdout stays
 machine-readable.  ``--out`` is opened once every check that can reject
 the request has passed, and before any shell, sample or matrix is built,
@@ -121,26 +124,35 @@ def parse_profile(text: str) -> ProfileVector:
 
 
 def _parse_window_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"window_sizes {text!r}: {exc}") from exc
+    return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-_FIELD_PARSERS = {
-    "system": str,
-    "rank": int,
-    "p": float,
-    "profile": str,
-    "max_radius": int,
-    "shell_cap": int,
-    "window_sizes": _parse_window_sizes,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "method": str,
-    "out": str,
+# field: (parser, flag, metavar, help).  A flag value and a config line
+# value are the same text and go through the same parser (_set_field).
+_FIELDS = {
+    "system": (str, "--system", "NAME", "orientation | gaussian"),
+    "rank": (int, "--rank", "K", "free-group rank (>= 2)"),
+    "p": (float, "--p", "P", "orientation bias toward the basepoint"),
+    "profile": (str, "--profile", "SPEC", "gaussian | cauchy | window:N | indicator:a,b"),
+    "max_radius": (int, "--max-radius", "R", "shell or ball radius (<= 20)"),
+    "shell_cap": (int, "--shell-cap", "CAP", "max words evaluated per shell"),
+    "window_sizes": (
+        _parse_window_sizes, "--n", "N1,N2,...", "window half-widths for the window sweep"
+    ),
+    "samples": (int, "--samples", "N", "Monte Carlo samples, or hs trials"),
+    "seed": (int, "--seed", "SEED", "random seed"),
+    "workers": (int, "--workers", "W", "accepted (>= 1) and has no effect"),
+    "method": (str, "--method", "METHOD", "auto | exact | mc"),
+    "out": (str, "--out", "FILE", "CSV destination (default stdout)"),
 }
+
+
+def _set_field(config: ExperimentConfig, key: str, text: str) -> ExperimentConfig:
+    try:
+        value = _FIELDS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return replace(config, **{key: value})
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -167,14 +179,12 @@ def parse_config(text: str, base: Optional[ExperimentConfig] = None) -> Experime
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELDS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         try:
-            config = replace(config, **{key: _FIELD_PARSERS[key](value)})
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"config line {lineno}: {key}: {exc}") from exc
+            config = _set_field(config, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"config line {lineno}: {exc}") from exc
     return config
 
 
@@ -194,7 +204,6 @@ def _open_out(out: Optional[str]) -> Iterator[TextIO]:
 
 
 def cmd_decay(config: ExperimentConfig) -> int:
-    validate_config(config)
     system = _system_spec(config)
     profile = parse_profile(config.profile)
     _check_sweep(system, profile, config.max_radius, config.shell_cap, config.method)
@@ -220,7 +229,6 @@ def cmd_decay(config: ExperimentConfig) -> int:
 
 
 def cmd_window(config: ExperimentConfig) -> int:
-    validate_config(config)
     system = _system_spec(config)
     with _open_out(config.out) as fh:
         table = almost_invariant_sweep(system, config.max_radius, config.window_sizes)
@@ -238,7 +246,6 @@ _GRAM_WORD_LIMIT = ball_size(4, 2)
 
 
 def cmd_gram(config: ExperimentConfig) -> int:
-    validate_config(config)
     size = ball_size(config.max_radius, config.rank)
     if size > _GRAM_WORD_LIMIT:
         raise ConfigError(
@@ -264,7 +271,6 @@ def cmd_gram(config: ExperimentConfig) -> int:
 
 
 def cmd_hs(config: ExperimentConfig) -> int:
-    validate_config(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     worst = 0.0
     with _open_out(config.out) as fh:
@@ -293,6 +299,7 @@ def cmd_selftest(verbosity: int = 1, inject_fault: Optional[str] = None) -> int:
     return EXIT_OK if code == 0 else EXIT_TEST_FAILURE
 
 
+# Each command takes a config that _config_from_args has validated.
 _COMMANDS = {
     "decay": cmd_decay,
     "window": cmd_window,
@@ -306,35 +313,6 @@ _COMMAND_DEFAULTS = {
     "gram": {"max_radius": 3},
     "hs": {"samples": 1000},
 }
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key=value config file")
-    parser.add_argument("--system", choices=["orientation", "gaussian"])
-    parser.add_argument("--rank", type=int, metavar="K")
-    parser.add_argument("--p", type=float, help="orientation bias toward the basepoint")
-    parser.add_argument(
-        "--profile", metavar="SPEC", help="gaussian | cauchy | window:N | indicator:a,b"
-    )
-    parser.add_argument(
-        "--max-radius", type=int, metavar="R", help="shell or ball radius (<= 20)"
-    )
-    parser.add_argument(
-        "--shell-cap", type=int, metavar="CAP", help="max words evaluated per shell"
-    )
-    parser.add_argument(
-        "--n",
-        dest="window_sizes",
-        metavar="N1,N2,...",
-        help="window half-widths for the window sweep",
-    )
-    parser.add_argument("--samples", type=int, metavar="N")
-    parser.add_argument("--seed", type=int, metavar="SEED")
-    parser.add_argument(
-        "--workers", type=int, metavar="W", help="accepted (>= 1) and has no effect"
-    )
-    parser.add_argument("--method", choices=["auto", "exact", "mc"])
-    parser.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("hs", "projection-defect bench on random unitaries"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
+        cmd.add_argument("--config", metavar="FILE", help="key=value config file")
+        for key, (_, flag, metavar, flag_help) in _FIELDS.items():
+            cmd.add_argument(flag, dest=key, metavar=metavar, help=flag_help)
     st = sub.add_parser("selftest", help="run the invariant suites")
     st.add_argument("--verbosity", type=int, default=1, choices=[0, 1, 2])
     st.add_argument(
@@ -369,21 +349,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _IOFailure(f"config file {args.config!r}: {exc}") from exc
+            raise OSError(f"config file {args.config!r}: {exc}") from exc
         config = parse_config(text, base=config)
-    overrides = {}
-    for field in fields(ExperimentConfig):
-        value = getattr(args, field.name, None)
-        if value is None:
-            continue
-        if field.name == "window_sizes" and isinstance(value, str):
-            value = _parse_window_sizes(value)
-        overrides[field.name] = value
-    return replace(config, **overrides)
-
-
-class _IOFailure(OSError):
-    pass
+    for key in _FIELDS:
+        text = getattr(args, key)
+        if text is not None:
+            config = _set_field(config, key, text)
+    return validate_config(config)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

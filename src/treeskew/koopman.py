@@ -311,8 +311,12 @@ def _check_sweep(
     _check_support(system, profile, profile)
     for length in range(1, max_radius + 1):
         size = shell_size(length, system.rank)
-        if per_shell_cap is None and size > _ENUMERATION_LIMIT:
-            raise ValueError(f"shell of length {length} has {size} words; pass per_shell_cap")
+        evaluated = size if per_shell_cap is None else min(per_shell_cap, size)
+        if evaluated > _ENUMERATION_LIMIT:
+            raise ValueError(
+                f"shell of length {length} has {size} words; "
+                f"pass per_shell_cap <= {_ENUMERATION_LIMIT}"
+            )
 
 
 def decay_sweep(

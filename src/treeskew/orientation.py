@@ -199,12 +199,6 @@ class PathSumLaw:
     p: float
     pmf: dict
 
-    def support(self) -> list[int]:
-        return sorted(self.pmf)
-
-    def probability(self, s: int) -> float:
-        return self.pmf.get(s, 0.0)
-
     def expectation(self, fn: Callable[[int], float]) -> float:
         return math.fsum(self.pmf[s] * fn(s) for s in sorted(self.pmf))
 

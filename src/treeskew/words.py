@@ -79,16 +79,8 @@ class Word:
             prev = s
 
     @classmethod
-    def from_letters(cls, letters: Iterable[int], rank: int) -> "Word":
-        return cls(_reduce(letters), rank)
-
-    @classmethod
     def identity(cls, rank: int) -> "Word":
         return cls((), rank)
-
-    @classmethod
-    def generator(cls, index: int, rank: int) -> "Word":
-        return cls((index,), rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -177,7 +169,7 @@ def parse_word(text: str, rank: int) -> Word:
         if exponent < 0:
             letter, exponent = -letter, -exponent
         letters.extend([letter] * exponent)
-    return Word.from_letters(letters, rank)
+    return Word(_reduce(letters), rank)
 
 
 def common_prefix_length(x: Word, y: Word) -> int:

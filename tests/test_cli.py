@@ -4,15 +4,20 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import treeskew
 from conftest import gromov_products
+from treeskew import koopman
 from treeskew.cli import (
+    _FIELDS,
     ConfigError,
     ExperimentConfig,
+    _config_from_args,
+    build_parser,
     main,
     parse_config,
     parse_profile,
@@ -21,7 +26,7 @@ from treeskew.cli import (
 )
 from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
-from treeskew.words import ball
+from treeskew.words import Word, ball
 
 
 class TestConfigValidation:
@@ -105,6 +110,76 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "orientation(p=0.3)" in err
         assert "shells=1..2" in err
+
+
+# one valid, non-default text per field
+FIELD_TEXTS = {
+    "system": "gaussian",
+    "rank": "3",
+    "p": "0.25",
+    "profile": "window:4",
+    "max_radius": "5",
+    "shell_cap": "7",
+    "window_sizes": "5,50",
+    "samples": "2000",
+    "seed": "9",
+    "workers": "2",
+    "method": "mc",
+    "out": "x.csv",
+}
+
+
+class TestFieldTable:
+    def test_one_row_per_config_field(self):
+        names = [field.name for field in fields(ExperimentConfig)]
+        assert list(_FIELDS) == names
+        assert list(FIELD_TEXTS) == names
+
+    @pytest.mark.parametrize("key", list(FIELD_TEXTS))
+    def test_flag_and_config_line_agree(self, tmp_path, key):
+        text = FIELD_TEXTS[key]
+        flag = _FIELDS[key][1]
+        from_flag = _config_from_args(build_parser().parse_args(["decay", flag, text]))
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        from_file = _config_from_args(build_parser().parse_args(["decay", "--config", str(cfg)]))
+        assert from_flag == from_file == parse_config(f"{key}={text}\n")
+        assert from_flag != ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "flag,text,field",
+        [("--rank", "x", "rank"), ("--system", "brownian", "system"), ("--method", "fast", "method")],
+    )
+    def test_malformed_flag_is_a_config_error(self, capsys, flag, text, field):
+        assert main(["decay", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}")
+        assert err.count("\n") == 1
+
+
+class TestEnumerationLimit:
+    def test_large_cap_does_not_lift_the_limit(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shell was enumerated before the limit check")
+
+        monkeypatch.setattr(koopman, "_shell_words", refuse)
+        argv = ["decay", "--method", "exact", "--max-radius", "11", "--shell-cap", "1000000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "length 11 has 236196 words" in err and "per_shell_cap" in err
+
+    def test_cap_under_the_limit_still_runs(self, monkeypatch, capsys):
+        seen = []
+
+        def one_word(length, rank, cap, seed):
+            seen.append((length, cap))
+            return (Word((1,) * length, rank),)
+
+        monkeypatch.setattr(koopman, "_shell_words", one_word)
+        argv = ["decay", "--method", "exact", "--max-radius", "10", "--shell-cap", "1000000"]
+        assert main(argv) == 0
+        assert seen == [(length, 1_000_000) for length in range(1, 11)]
+        capsys.readouterr()
 
 
 class TestExitCodes:

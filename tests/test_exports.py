@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,19 @@ def test_every_export_resolves_once(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def test_package_exports_are_the_submodule_objects():
-    for attr in treeskew.__all__:
-        if attr == "__version__":
-            continue
-        value = getattr(treeskew, attr)
-        home = importlib.import_module(value.__module__)
-        assert getattr(home, attr) is value
-        assert attr in getattr(home, "__all__", [attr]), f"{home.__name__} does not export {attr}"
+def test_package_root_imports_nothing():
+    # the root holds only __version__, so importing it loads no submodule and no numpy
+    probe = (
+        "import sys, treeskew; "
+        "print(sorted(m for m in sys.modules if m.startswith(('treeskew.', 'numpy'))))"
+    )
+    package_root = str(Path(treeskew.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -226,10 +226,10 @@ class TestSkewAction:
 class TestPathSumLaw:
     def test_small_law_is_exact(self):
         law = path_sum_law(3, 0.5)
-        assert law.support() == [-3, -1, 1, 3]
-        assert law.probability(3) == 0.125
-        assert law.probability(1) == 0.375
-        assert law.probability(0) == 0.0
+        assert sorted(law.pmf) == [-3, -1, 1, 3]
+        assert law.pmf[3] == 0.125
+        assert law.pmf[1] == 0.375
+        assert 0 not in law.pmf
 
     def test_zero_length(self):
         law = path_sum_law(0, 0.3)
@@ -246,9 +246,9 @@ class TestPathSumLaw:
             key = sum(signs)
             pmf[key] = pmf.get(key, 0.0) + prob
         law = path_sum_law(length, p)
-        assert set(law.support()) == set(pmf)
+        assert set(law.pmf) == set(pmf)
         for s, q in pmf.items():
-            assert law.probability(s) == pytest.approx(q, abs=1e-14)
+            assert law.pmf[s] == pytest.approx(q, abs=1e-14)
 
     def test_mean_formula(self):
         for length, p in ((2, 0.3), (7, 0.7), (12, 0.45)):
@@ -367,8 +367,7 @@ class TestCocycleSamples:
         g, p, n = w("abab"), 0.7, 100_000
         draws = cocycle_samples(g, p, seed=4, n=n)
         law = path_sum_law(len(g), p)
-        for s in law.support():
-            q = law.probability(s)
+        for s, q in sorted(law.pmf.items()):
             freq = float(np.mean(draws == s))
             sigma = math.sqrt(q * (1.0 - q) / n)
             assert abs(freq - q) <= 4.0 * sigma + 1e-12
@@ -385,8 +384,7 @@ class TestCocycleSamples:
             moved = skew_step(g, SkewPoint(omega, 0.0))
             counts[int(moved.t)] = counts.get(int(moved.t), 0) + 1
         law = path_sum_law(len(g), p)
-        for s in law.support():
-            q = law.probability(s)
+        for s, q in sorted(law.pmf.items()):
             freq = counts.get(s, 0) / trials
             sigma = math.sqrt(q * (1.0 - q) / trials)
             assert abs(freq - q) <= 5.0 * sigma + 1e-12

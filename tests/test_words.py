@@ -129,7 +129,7 @@ class TestGroupStructure:
             assert x * Word.identity(2) == x
 
     def test_generator_and_prefix(self):
-        assert Word.generator(2, 2) == w("b")
+        assert w("abab").prefix(1) == Word((1,), 2)
         assert w("abab").prefix(2) == w("ab")
         assert w("abab").prefix(0) == Word.identity(2)
 
