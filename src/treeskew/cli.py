@@ -6,7 +6,7 @@ Subcommands::
     treeskew window    sup window defect over a ball vs certified bound (CSV)
     treeskew gram      Gram matrix of the Gaussian field on a ball (CSV)
     treeskew hs        projection-defect bench on random unitaries (CSV)
-    treeskew selftest  run the in-process invariant suites
+    treeskew selftest  run the identity catalogue at small counts
 
 Configuration comes from flags, optionally layered over a ``--config``
 file of ``key=value`` lines (same keys as the flags, underscores instead
@@ -46,7 +46,7 @@ from .koopman import (
     decay_sweep,
     emit_csv,
 )
-from .profiles import ProfileVector
+from .profiles import ProfileVector, check_window_size
 from .selftest import KNOWN_FAULTS, run_selftest
 from .words import ball, ball_size
 
@@ -90,8 +90,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"max_radius must lie in [0, 20], got {config.max_radius}")
     if config.shell_cap < 1:
         raise ConfigError(f"shell_cap must be >= 1, got {config.shell_cap}")
-    if not config.window_sizes or any(n < 1 for n in config.window_sizes):
-        raise ConfigError(f"window_sizes must be positive integers, got {config.window_sizes}")
+    if not config.window_sizes:
+        raise ConfigError("window_sizes must name at least one window size")
+    try:
+        for n in config.window_sizes:
+            check_window_size(n)
+    except ValueError as exc:
+        raise ConfigError(f"window_sizes: {exc}") from exc
     if config.samples < 1000:
         raise ConfigError(f"samples must be >= 1000, got {config.samples}")
     if config.seed < 0:

@@ -24,7 +24,6 @@ __all__ = [
     "HSOperator",
     "FiniteUnitary",
     "inner",
-    "trace",
     "rank_one",
     "adjoint_act",
     "projection_defect",
@@ -86,10 +85,6 @@ class FiniteUnitary:
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
     """``<x, y> = sum x_i conj(y_i)`` (linear in the first argument)."""
     return complex(np.vdot(y, x))
-
-
-def trace(op: HSOperator) -> complex:
-    return complex(np.trace(op.matrix))
 
 
 def rank_one(xi, xi_out) -> HSOperator:

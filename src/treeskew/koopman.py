@@ -44,7 +44,7 @@ import numpy as np
 from .numerics import expected_excess, shifted_overlap_array
 from .orientation import cocycle_sampler, path_sum_law
 from .parallel import block_moments, map_blocks, mean_stderr
-from .profiles import ProfileVector
+from .profiles import ProfileVector, check_window_size
 from .words import Word, shell, shell_size, sample_word
 
 __all__ = [
@@ -403,11 +403,9 @@ def almost_invariant_sweep(
     """
     if ball_radius < 0:
         raise ValueError(f"ball_radius must be >= 0, got {ball_radius}")
-    sizes = [int(n) for n in window_sizes]
+    sizes = [check_window_size(int(n)) for n in window_sizes]
     if not sizes:
         raise ValueError("at least one window size is required")
-    if min(sizes) < 1:
-        raise ValueError(f"window sizes must be >= 1, got {sizes}")
     rows = []
     for n in sizes:
         defect = max(_window_defect(system, length, n) for length in range(ball_radius + 1))

@@ -202,9 +202,6 @@ class PathSumLaw:
     def expectation(self, fn: Callable[[int], float]) -> float:
         return math.fsum(self.pmf[s] * fn(s) for s in sorted(self.pmf))
 
-    def mean(self) -> float:
-        return self.expectation(float)
-
 
 def path_sum_law(length: int, p: float) -> PathSumLaw:
     """Binomial path-sum law for an outward geodesic of the given length."""

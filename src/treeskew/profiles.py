@@ -19,6 +19,7 @@ quadrature the first time it is trusted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -39,6 +40,7 @@ __all__ = [
     "cauchy_kernel",
     "cauchy_kernel_by_quadrature",
     "cauchy_norm_sq",
+    "check_window_size",
     "gaussian_norm_sq",
 ]
 
@@ -46,6 +48,16 @@ _HALF_PI = 0.5 * math.pi
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _KINDS = ("window", "indicator", "gaussian", "cauchy")
 _NORMALIZATIONS = ("unit", "raw")
+# The largest window size whose square is a finite float, since a window
+# pair scales by 1 / (2 sqrt(n1 n2)).
+_MAX_WINDOW = math.isqrt(int(sys.float_info.max))
+
+
+def check_window_size(n) -> int:
+    """Return ``n`` if it is a window size that float arithmetic can carry."""
+    if n is None or not 1 <= n <= _MAX_WINDOW:
+        raise ValueError(f"window size must lie in [1, {_MAX_WINDOW:.3g}], got {n!r}")
+    return n
 
 
 def cauchy_kernel_by_quadrature(x: float, tol: float = 1e-10) -> float:
@@ -110,8 +122,7 @@ class ProfileVector:
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.kind == "window":
-            if self.n is None or self.n < 1:
-                raise ValueError(f"window size must be a positive int, got {self.n!r}")
+            check_window_size(self.n)
             if self.normalization != "unit":
                 raise ValueError("window profiles are unit-normalized by construction")
         elif self.n is not None:

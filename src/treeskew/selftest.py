@@ -1,39 +1,41 @@
-"""In-process invariant suites behind the ``selftest`` CLI command.
+"""The identity catalogue behind the ``selftest`` CLI command.
 
-Each suite re-checks the load-bearing identities of one module with small
-budgets (seconds, not minutes).  A failed check names the identity it
-guards; the runner returns a process exit code.  The optional fault
-injection hands the projection-defect check a sign-flipped defect
-``|| U P U* + P ||_HS^2``, so that check must fail, which keeps the suite
-honest.
+Each entry of :data:`CATALOGUE` is one paper-level identity: the cocycle
+chain rule, the skew action law, the agreement of the exact, quadrature
+and Monte Carlo routes, the certified window bound and the projection
+defect.  An identity is a function of its instance or sample counts that
+returns a :class:`Check` whose ``detail`` carries the worst residual or
+z-score it saw.  ``selftest`` runs the catalogue at the small counts
+stored next to each entry, in well under a second; the acceptance tests
+run the same functions at full scale.  Checks of single implementation
+details (group axioms, PRF agreement, CSV headers, ...) live in the
+per-module tests, not here.
+
+Monte Carlo routes must agree with their exact value within four standard
+errors.  The optional fault injection hands the projection-defect check a
+sign-flipped defect ``|| U P U* + P ||_HS^2``, so that check must fail,
+which keeps the catalogue honest.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
 from . import hs
-from .gaussian import (
-    gram_matrix,
-    interval_overlap_by_quadrature,
-    window_coefficient_by_quadrature,
-)
+from .gaussian import gram_matrix, interval_overlap_by_quadrature, window_coefficient_by_quadrature
 from .koopman import (
     MCBudget,
-    UnsupportedProfileError,
     almost_invariant_sweep,
     coefficient,
     decay_sweep,
-    emit_csv,
-    orientation_system,
     gaussian_system,
+    orientation_system,
     symmetric_difference,
     symmetric_difference_mc,
 )
@@ -41,29 +43,15 @@ from .orientation import (
     Orientation,
     OrientationMeasure,
     SkewPoint,
-    cocycle_samples,
     group_cocycle,
-    path_cocycle,
-    path_sum_law,
     pushforward,
     skew_step,
 )
 from .profiles import ProfileVector, cauchy_kernel_by_quadrature
-from .rng import prf_uniform, prf_uniform_array, sample_seed, sample_seeds_array
-from .words import (
-    Word,
-    act_on_edge,
-    ball,
-    ball_edges,
-    ball_size,
-    distance,
-    geodesic,
-    median,
-    parse_word,
-    sample_word,
-)
+from .words import Word, ball, ball_edges, ball_size, distance, parse_word, sample_word
 
 KNOWN_FAULTS = ("projection-defect-sign",)
+_Z_LIMIT = 4.0
 
 
 @dataclass
@@ -73,287 +61,300 @@ class Check:
     detail: str = ""
 
 
-def _random_words(rng: random.Random, count: int, max_len: int, rank: int = 2):
-    return [sample_word(rng.randint(0, max_len), rank, rng) for _ in range(count)]
+def _word(rng: random.Random, max_len: int, min_len: int = 0) -> Word:
+    return sample_word(rng.randint(min_len, max_len), 2, rng)
 
 
-def suite_group_tree() -> List[Check]:
-    rng = random.Random(1101)
-    checks = []
-
-    ws = _random_words(rng, 600, 10)
-    ok = all(
-        ((x * y) * z).letters == (x * (y * z)).letters
-        and (x * ~x).letters == ()
-        and (Word.identity(2) * x) == x
-        for x, y, z in zip(ws[::3], ws[1::3], ws[2::3])
-    )
-    checks.append(Check("group axioms (assoc, inverse, identity)", ok))
-
-    ok = True
-    for _ in range(200):
-        x, y, g = (_random_words(rng, 3, 8)[i] for i in range(3))
-        if distance(x, y) != len(~x * y) or distance(g * x, g * y) != distance(x, y):
-            ok = False
-            break
-    checks.append(Check("distance = |x^-1 y| and left invariance", ok))
-
-    ok = True
-    for _ in range(100):
-        x, y = _random_words(rng, 2, 8)
-        p, q = geodesic(x, y), geodesic(y, x)
-        if len(p) != distance(x, y):
-            ok = False
-        if [e for e, _ in q.steps] != [e for e, _ in reversed(p.steps)]:
-            ok = False
-        if [t for _, t in q.steps] != [-t for _, t in reversed(p.steps)]:
-            ok = False
-        if not ok:
-            break
-    checks.append(Check("geodesic length and reversal", ok))
-
-    ok = True
-    for _ in range(100):
-        x, y, z = _random_words(rng, 3, 7)
-        m = median(x, y, z)
-        for a, b in ((x, y), (y, z), (x, z)):
-            if distance(a, m) + distance(m, b) != distance(a, b):
-                ok = False
-    checks.append(Check("median lies on all three geodesics", ok))
-
-    edges = ball_edges(4, 2)
-    ok = True
-    for _ in range(200):
-        g, h = _random_words(rng, 2, 6)
-        e = rng.choice(edges)
-        e1, f1 = act_on_edge(h, e)
-        e2, f2 = act_on_edge(g, e1)
-        e3, f3 = act_on_edge(g * h, e)
-        if e2 != e3 or f1 * f2 != f3:
-            ok = False
-            break
-    checks.append(Check("edge action composes with multiplying flips", ok))
-
-    ok = all(len(ball(r, 2)) == ball_size(r, 2) for r in range(5))
-    ok = ok and len(ball(3, 2)) == 53 and parse_word("a1 a2^-1", 2) == parse_word("aB", 2)
-    checks.append(Check("ball counts and word parsing", ok))
-    return checks
+def _z(diff: float, stderr: float) -> float:
+    """``|diff|`` in standard errors; 0 for an estimator with no spread."""
+    return abs(diff) / stderr if stderr > 0.0 else 0.0
 
 
-def suite_orientation() -> List[Check]:
-    rng = random.Random(2202)
-    measure = OrientationMeasure(0.7)
-    checks = []
-
-    seeds = [rng.getrandbits(64) for _ in range(200)]
-    fps = [rng.getrandbits(64) for _ in range(200)]
-    scalar = np.array([prf_uniform(s, f) for s, f in zip(seeds, fps)])
-    vector = prf_uniform_array(
-        np.array(seeds, dtype=np.uint64), np.array(fps, dtype=np.uint64)
-    )
-    stream = np.array([sample_seed(7, i) for i in range(50)], dtype=np.uint64)
-    checks.append(
-        Check(
-            "keyed PRF scalar/vector agreement",
-            bool(np.array_equal(scalar, vector))
-            and bool(np.array_equal(stream, sample_seeds_array(7, 0, 50))),
-        )
-    )
-
-    ok = True
-    for _ in range(150):
-        omega = Orientation(rng.getrandbits(64), measure)
-        x, y, z = _random_words(rng, 3, 7)
-        if path_cocycle(omega, x, z) != path_cocycle(omega, x, y) + path_cocycle(omega, y, z):
-            ok = False
-            break
-        if path_cocycle(omega, x, y) != -path_cocycle(omega, y, x):
-            ok = False
-            break
-    checks.append(Check("path cocycle additivity and antisymmetry", ok))
-
-    ok = True
+def chain_rule(count: int) -> Check:
+    """``c(gh, w) = c(g, w) + c(h, g^-1 . w)`` on ``count`` triples at each p."""
+    worst = 0
     for p in (0.3, 0.5, 0.7):
-        m = OrientationMeasure(p)
-        for _ in range(70):
-            omega = Orientation(rng.getrandbits(64), m)
-            g, h = _random_words(rng, 2, 7)
+        measure = OrientationMeasure(p)
+        rng = random.Random(int(1000 * p))
+        for _ in range(count):
+            omega = Orientation(rng.getrandbits(64), measure)
+            g, h = _word(rng, 8), _word(rng, 8)
             lhs = group_cocycle(omega, g * h)
             rhs = group_cocycle(omega, g) + group_cocycle(pushforward(~g, omega), h)
-            if lhs != rhs:
-                ok = False
-    checks.append(Check("cocycle chain rule", ok))
+            worst = max(worst, abs(lhs - rhs))
+    return Check(
+        "cocycle chain rule", worst == 0, f"worst |lhs - rhs| = {worst} over {3 * count} triples"
+    )
 
+
+def skew_action_law(count: int) -> Check:
+    """``beta_gh = beta_g o beta_h`` on both coordinates, ``count`` instances."""
+    measure = OrientationMeasure(0.7)
+    rng = random.Random(202)
     edges = ball_edges(5, 2)
-    ok = True
-    for _ in range(40):
+    worst, mismatches = 0.0, 0
+    for _ in range(count):
         omega = Orientation(rng.getrandbits(64), measure)
-        g, h = _random_words(rng, 2, 5)
-        via_two = pushforward(g, pushforward(h, omega))
-        via_one = pushforward(g * h, omega)
-        for e in rng.sample(edges, 25):
-            if via_two.value(e) != via_one.value(e):
-                ok = False
-    checks.append(Check("pushforward composition", ok))
-
-    ok = True
-    for _ in range(100):
-        omega = Orientation(rng.getrandbits(64), measure)
-        g, h = _random_words(rng, 2, 5)
-        pt = SkewPoint(omega, rng.randint(-5, 5))
-        one = skew_step(g * h, pt)
-        two = skew_step(g, skew_step(h, pt))
-        if one.t != two.t:
-            ok = False
-            break
-        for e in rng.sample(edges, 12):
-            if one.orientation.value(e) != two.orientation.value(e):
-                ok = False
-    checks.append(Check("skew action law", ok))
-
-    ok = True
-    for length, p in ((0, 0.3), (3, 0.5), (6, 0.7), (9, 0.41)):
-        law = path_sum_law(length, p)
-        if abs(math.fsum(law.pmf.values()) - 1.0) > 1e-12:
-            ok = False
-        if abs(law.mean() - length * (1.0 - 2.0 * p)) > 1e-10:
-            ok = False
-    checks.append(Check("path-sum law normalization and mean", ok))
-
-    ok = True
-    for g_text, n, p, seed in (("abab", 6, 0.7, 11), ("aabA", 9, 0.45, 12)):
-        g = parse_word(g_text, 2)
-        win = ProfileVector.window(n)
-        exact = coefficient(orientation_system(p), g, win, win).value
-        if exact < 1.0 - len(g) / (2.0 * n) - 1e-12:
-            ok = False
-        draws = cocycle_samples(g, p, seed, 40_000).astype(float)
-        vals = np.maximum(2.0 * n - np.abs(draws), 0.0) / (2.0 * n)
-        stderr = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-        if abs(float(vals.mean()) - exact) > 5.0 * stderr + 1e-12:
-            ok = False
-    checks.append(Check("window coefficient: exact law vs sampled orientations", ok))
-
-    gauss = ProfileVector.gaussian()
-    vals = [coefficient(orientation_system(0.7), Word((1,) * L, 2), gauss, gauss).value
-            for L in range(1, 13)]
-    checks.append(
-        Check(
-            "gaussian bound strictly decreasing",
-            all(b < a for a, b in zip(vals, vals[1:])),
+        point = SkewPoint(omega, float(rng.randint(-10, 10)))
+        g, h = _word(rng, 5), _word(rng, 5)
+        one = skew_step(g * h, point)
+        two = skew_step(g, skew_step(h, point))
+        worst = max(worst, abs(one.t - two.t))
+        mismatches += sum(
+            one.orientation.value(e) != two.orientation.value(e) for e in rng.sample(edges, 10)
         )
+    return Check(
+        "skew action law",
+        worst == 0.0 and mismatches == 0,
+        f"worst |t| residual {worst}, {mismatches} edge mismatches over {count} instances",
     )
-    return checks
 
 
-def suite_gaussian() -> List[Check]:
-    checks = []
-    system = gram_matrix(ball(4, 2))
-    checks.append(
-        Check("gram matrix PSD on ball(4)", system.min_eigenvalue() >= -1e-8)
+def window_exact_vs_mc(configs: int, samples: int) -> Check:
+    """Orientation window coefficient: the binomial law, its a priori bound and Monte Carlo."""
+    rng = random.Random(303)
+    ok, worst_z = True, 0.0
+    for i in range(configs):
+        g = _word(rng, 10, min_len=1)
+        n = rng.randint(1, 50)
+        system = orientation_system(round(rng.uniform(0.1, 0.9), 3))
+        win = ProfileVector.window(n)
+        exact = coefficient(system, g, win, win, method="exact").value
+        est = coefficient(system, g, win, win, budget=MCBudget(samples, seed=i), method="mc")
+        ok = ok and 1.0 - exact <= len(g) / (2.0 * n) + 1e-12
+        ok = ok and abs(est.value - exact) <= _Z_LIMIT * est.stderr + 1e-15
+        worst_z = max(worst_z, _z(est.value - exact, est.stderr))
+    return Check(
+        "window coefficient: exact law vs Monte Carlo",
+        ok,
+        f"max z = {worst_z:.2f} over {configs} configs x {samples} samples",
     )
-    words = system.words
-    ok = all(
-        system.gram[i, j] == (len(x) + len(y) - distance(x, y)) / 2
-        for i, x in enumerate(words)
-        for j, y in enumerate(words[i:], i)
+
+
+def gaussian_profile_decay() -> Check:
+    """Drift at p = 0.7 makes the gaussian-profile coefficient fall below 0.05 by length 20."""
+    prof = ProfileVector.gaussian()
+
+    def value(length: int, p: float) -> float:
+        return coefficient(orientation_system(p), Word((1,) * length, 2), prof, prof).value
+
+    values = [value(length, 0.7) for length in range(1, 21)]
+    driftless = value(20, 0.5)
+    ok = all(b < a for a, b in zip(values, values[1:]))
+    ok = ok and values[-1] < 0.05 < driftless
+    return Check(
+        "gaussian-profile coefficient decays under drift",
+        ok,
+        f"c(20) = {values[-1]:.3g} at p = 0.7, {driftless:.3g} at p = 1/2",
     )
-    checks.append(Check("gram equals the Gromov products exactly on ball(4)", ok))
 
-    words = [Word.identity(2), parse_word("ab", 2), parse_word("aB", 2), parse_word("aaa", 2)]
-    sub = gram_matrix(words)
-    draws = sub.sample_matrix(20_000, seed=5)
-    ok = bool(np.all(draws[:, 0] == 0.0))
-    emp = draws.T @ draws / len(draws)
-    for i in range(len(words)):
-        for j in range(len(words)):
-            g_ii, g_jj, g_ij = sub.gram[i, i], sub.gram[j, j], sub.gram[i, j]
-            stderr = math.sqrt((g_ii * g_jj + g_ij**2) / len(draws))
-            if abs(emp[i, j] - g_ij) > 5.0 * stderr + 1e-12:
-                ok = False
-    checks.append(Check("sampling: identity is 0, covariance matches gram", ok))
 
-    ok = all(
-        abs(ProfileVector.window(n).gaussian_mean(ProfileVector.window(n), s)[0]
-            - window_coefficient_by_quadrature(s, n))
-        <= 1e-9
-        for s, n in ((0.5, 1), (1.0, 10), (3.0, 2), (2.0, 100))
+def gaussian_window_routes(samples: int) -> Check:
+    """Gaussian-system window coefficient: erf closed form vs quadrature vs Monte Carlo."""
+    rng = np.random.default_rng(505)
+    ok, worst_quad, worst_z = True, 0.0, 0.0
+    for sigma in (0.5, 1.0, 2.0, 3.0, 5.0):
+        for n in (1, 2, 5, 10, 100):
+            win = ProfileVector.window(n)
+            closed = win.gaussian_mean(win, sigma)[0]
+            quad = window_coefficient_by_quadrature(sigma, n)
+            f = np.maximum(2.0 * n - np.abs(sigma * rng.standard_normal(samples)), 0.0) / (2.0 * n)
+            stderr = float(f.std(ddof=1)) / math.sqrt(samples)
+            ok = ok and 0.0 < closed <= 1.0 + 1e-12 and abs(closed - quad) <= 1e-9
+            ok = ok and abs(f.mean() - closed) <= _Z_LIMIT * stderr
+            if n / sigma >= 20.0:
+                tail = sigma / (n * math.sqrt(2.0 * math.pi))
+                ok = ok and abs((1.0 - closed) - tail) <= 0.02 * tail
+            worst_quad = max(worst_quad, abs(closed - quad))
+            worst_z = max(worst_z, _z(f.mean() - closed, stderr))
+    return Check(
+        "Gaussian window coefficient: erf vs quadrature vs Monte Carlo",
+        ok,
+        f"worst |erf - quad| = {worst_quad:.2g}, max z = {worst_z:.2f} at {samples} samples",
     )
-    checks.append(Check("window coefficient: erf form vs quadrature", ok))
 
-    ok = all(
-        abs(cauchy_kernel_by_quadrature(x) * (4.0 + x * x) - 2.0 * math.pi) <= 1e-8
-        for x in (0.0, 1.0, 5.0)
+
+def cauchy_identity() -> Check:
+    """``K(x) (4 + x^2) = 2 pi`` by quadrature, and the raw coefficient falls with sigma."""
+    worst = max(
+        abs(cauchy_kernel_by_quadrature(x) * (4.0 + x * x) - 2.0 * math.pi)
+        for x in (0.0, 1.0, 5.0, 20.0)
     )
     raw = ProfileVector.cauchy("raw")
-    seq = [raw.gaussian_mean(raw, s)[0] for s in (0.0, 1.0, 2.0, 4.0)]
-    ok = ok and all(b < a for a, b in zip(seq, seq[1:]))
-    checks.append(Check("cauchy kernel identity and coefficient decay", ok))
-
-    ok = True
-    for g_text, i, j in (("ab", (0.0, 1.0), (0.0, 1.0)), ("abab", (-1.0, 2.0), (0.5, 3.0))):
-        g = parse_word(g_text, 2)
-        closed = coefficient(
-            gaussian_system(), g, ProfileVector.indicator(*i), ProfileVector.indicator(*j)
-        ).value
-        quad = interval_overlap_by_quadrature(math.sqrt(len(g)), i, j)
-        if abs(closed - quad) > 1e-9:
-            ok = False
-    checks.append(Check("interval overlap: erf form vs quadrature", ok))
-    return checks
-
-
-def suite_koopman() -> List[Check]:
-    rng = random.Random(4404)
-    osys = orientation_system(0.7)
-    gsys = gaussian_system()
-    w1 = ProfileVector.window(1)
-    checks = []
-
-    e = Word.identity(2)
-    a = parse_word("a", 2)
-    ok = (
-        coefficient(osys, e, w1, w1).value == 1.0
-        and coefficient(osys, a, w1, w1).value == 0.5
+    values = [raw.gaussian_mean(raw, s)[0] for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
+    ok = worst <= 1e-8 and all(b < a for a, b in zip(values, values[1:]))
+    return Check(
+        "cauchy kernel identity and coefficient decay", ok, f"worst residual {worst:.2g}"
     )
-    try:
-        coefficient(osys, a, ProfileVector.cauchy(), ProfileVector.cauchy())
-        ok = False
-    except UnsupportedProfileError:
-        pass
-    checks.append(Check("exact routing and unsupported profile rejection", ok))
 
-    ok = True
-    for trial in range(8):
-        system = osys if trial % 2 == 0 else gsys
-        g = sample_word(rng.randint(1, 5), 2, rng)
-        profile = (
-            ProfileVector.window(rng.randint(1, 6))
-            if (trial % 3 or system.kind == "orientation")
-            else ProfileVector.cauchy()
-        )
-        exact = coefficient(system, g, profile, profile)
-        mc = coefficient(
-            system, g, profile, profile, budget=MCBudget(30_000, seed=trial), method="mc"
-        )
-        if abs(exact.value - mc.value) > 5.0 * mc.stderr + 1e-12:
-            ok = False
-    checks.append(Check("coefficient: exact route vs Monte Carlo", ok))
 
-    exact = symmetric_difference(osys, a, w1)
-    mc = symmetric_difference_mc(osys, a, w1, MCBudget(20_000, seed=3))
-    ok = exact == 2.0 and abs(mc.value - exact) <= 5.0 * mc.stderr + 1e-12
-    checks.append(Check("symmetric difference: defect identity and MC", ok))
+def gram_and_sampling(radius: int, samples: int) -> Check:
+    """Gram matrix on ``ball(radius)``: PSD, equal to the Gromov products, sampled correctly."""
+    system = gram_matrix(ball(radius, 2))
+    words = system.words
+    gromov = np.array([[(len(x) + len(y) - distance(x, y)) / 2 for y in words] for x in words])
+    min_eig = system.min_eigenvalue()
+    ok = len(system) == ball_size(radius, 2) and min_eig >= -1e-8
+    ok = ok and bool(np.array_equal(system.gram, gromov))
 
-    table = almost_invariant_sweep(osys, 3, [10, 100])
-    ok = all(row.sup_defect <= row.bound + 1e-12 for row in table.rows)
-    curve = decay_sweep(osys, ProfileVector.gaussian(), 6, per_shell_cap=4)
-    values = [pt.estimate.value for pt in curve.points]
-    ok = ok and [pt.radius for pt in curve.points] == list(range(1, 7))
-    ok = ok and all(b < a for a, b in zip(values, values[1:]))
-    ok = ok and all(abs(v) <= 1.0 + 1e-12 for v in values)
-    checks.append(Check("sweeps: certified window bound and decay", ok))
-    return checks
+    sub = gram_matrix([parse_word(t, 2) for t in ("1", "a", "b", "ab", "aB", "aba")])
+    draws = sub.sample_matrix(samples, seed=7)
+    ok = ok and bool(np.all(draws[:, 0] == 0.0))
+    empirical = draws.T @ draws / samples
+    diag = np.diagonal(sub.gram)
+    spread = np.sqrt((np.outer(diag, diag) + sub.gram**2) / samples)
+    diff = np.abs(empirical - sub.gram)
+    ok = ok and bool(np.all(diff <= _Z_LIMIT * spread + 1e-12))
+    worst_z = float(np.max(diff[spread > 0.0] / spread[spread > 0.0]))
+    return Check(
+        "gram matrix: PSD, Gromov products, sampled covariance",
+        ok,
+        f"min eigenvalue {min_eig:.2g} on {len(system)} words, max z = {worst_z:.2f}",
+    )
+
+
+def projection_defect_identity(
+    count: int, defect: Callable[..., float] = hs.projection_defect
+) -> Check:
+    """``|| U P U* - P ||_HS^2 = 2 (1 - |<U xi, xi>|^2)`` on ``count`` random unitaries."""
+    rng = np.random.default_rng(808)
+    worst = 0.0
+    for trial in range(count):
+        dim = 2 + trial % 15
+        u = hs.random_unitary(dim, rng)
+        xi = hs.random_unit_vector(dim, rng)
+        worst = max(worst, abs(defect(u, xi) - hs.projection_defect_formula(u, xi)))
+    quarter = abs(defect(hs.rotation_unitary(math.pi / 4.0), np.array([1.0, 0.0])) - 1.0)
+    return Check(
+        "projection-defect identity",
+        worst <= 1e-10 and quarter <= 1e-12,
+        f"worst residual {worst:.2g} over {count} unitaries, quarter turn {quarter:.2g}",
+    )
+
+
+def symmetric_difference_identity(configs: int, samples: int) -> Check:
+    """``nu(beta_g A delta A) = 2 (nu(A) - <pi(g) chi_A, chi_A>)`` vs direct Monte Carlo."""
+    rng = random.Random(1010)
+    a, w1 = parse_word("a", 2), ProfileVector.window(1)
+    ok = symmetric_difference(orientation_system(0.7), a, w1) == 2.0
+    worst_z = 0.0
+    for i in range(configs):
+        g = _word(rng, 6, min_len=1)
+        if rng.random() < 0.5:
+            profile = ProfileVector.window(rng.randint(1, 5))
+        else:
+            lo = rng.uniform(-3.0, 1.0)
+            profile = ProfileVector.indicator(lo, lo + rng.uniform(0.5, 4.0))
+        if i % 2 == 0:
+            system = orientation_system(round(rng.uniform(0.2, 0.8), 3))
+        else:
+            system = gaussian_system()
+        exact = symmetric_difference(system, g, profile)
+        mc = symmetric_difference_mc(system, g, profile, MCBudget(samples, seed=i))
+        ok = ok and abs(exact - mc.value) <= _Z_LIMIT * mc.stderr + 1e-12
+        worst_z = max(worst_z, _z(exact - mc.value, mc.stderr))
+    return Check(
+        "symmetric difference: defect identity vs Monte Carlo",
+        ok,
+        f"max z = {worst_z:.2f} over {configs} configs x {samples} samples",
+    )
+
+
+def coefficient_exact_vs_mc(trials: int, samples: int) -> Check:
+    """Exact (or quadrature) coefficients of both systems vs their Monte Carlo route."""
+    rng = random.Random(4404)
+    ok, worst_z = True, 0.0
+    for trial in range(trials):
+        system = orientation_system(0.7) if trial % 2 == 0 else gaussian_system()
+        g = _word(rng, 5, min_len=1)
+        if trial % 3 or system.kind == "orientation":
+            profile = ProfileVector.window(rng.randint(1, 6))
+        else:
+            profile = ProfileVector.cauchy()
+        exact = coefficient(system, g, profile, profile).value
+        mc = coefficient(system, g, profile, profile, MCBudget(samples, seed=trial), method="mc")
+        ok = ok and abs(exact - mc.value) <= _Z_LIMIT * mc.stderr + 1e-12
+        worst_z = max(worst_z, _z(exact - mc.value, mc.stderr))
+    return Check(
+        "coefficient: exact route vs Monte Carlo",
+        ok,
+        f"max z = {worst_z:.2f} over {trials} trials x {samples} samples",
+    )
+
+
+def interval_overlap_routes(count: int) -> Check:
+    """Gaussian-system indicator coefficients: erf closed form vs quadrature."""
+    rng = random.Random(21)
+    worst = 0.0
+    for _ in range(count):
+        g = _word(rng, 9, min_len=1)
+        a, c = rng.uniform(-3.0, 1.0), rng.uniform(-3.0, 1.0)
+        first, second = (a, a + rng.uniform(0.5, 4.0)), (c, c + rng.uniform(0.5, 4.0))
+        closed = coefficient(
+            gaussian_system(), g, ProfileVector.indicator(*first), ProfileVector.indicator(*second)
+        ).value
+        quad = interval_overlap_by_quadrature(math.sqrt(len(g)), first, second)
+        worst = max(worst, abs(closed - quad))
+    return Check(
+        "interval overlap: erf form vs quadrature",
+        worst <= 1e-9,
+        f"worst |erf - quad| = {worst:.2g} over {count} pairs",
+    )
+
+
+def rank_one_hs_bound(count: int) -> Check:
+    """``|Tr(T1* U T2 U*)| <= |<U eta2, eta1>|`` for rank-one ``T_i`` of unit vectors."""
+    rng = np.random.Generator(np.random.PCG64(5505))
+    worst = -math.inf
+    for _ in range(count):
+        dim = int(rng.integers(2, 17))
+        u = hs.random_unitary(dim, rng)
+        xi1, xi2, eta1, eta2 = (hs.random_unit_vector(dim, rng) for _ in range(4))
+        value = hs.hs_coefficient(hs.rank_one(xi1, eta1), hs.rank_one(xi2, eta2), u)
+        worst = max(worst, abs(value) - abs(hs.inner(u.matrix @ eta2, eta1)))
+    return Check(
+        "rank-one bound on the HS coefficient",
+        worst <= 1e-10,
+        f"worst |value| - bound = {worst:.2g} over {count} unitaries",
+    )
+
+
+def certified_window_bound(radius: int) -> Check:
+    """Window defects stay under their certified bound; gaussian-profile sweeps decay."""
+    ok, worst = True, 0.0
+    gauss = ProfileVector.gaussian()
+    for system in (orientation_system(0.7), gaussian_system()):
+        for row in almost_invariant_sweep(system, radius, [10, 100, 1000, 10**7]).rows:
+            ok = ok and 0.0 < row.sup_defect <= row.bound
+            worst = max(worst, row.sup_defect / row.bound)
+        points = decay_sweep(system, gauss, radius, per_shell_cap=4).points
+        values = [pt.estimate.value for pt in points]
+        ok = ok and [pt.radius for pt in points] == list(range(1, radius + 1))
+        ok = ok and all(b < a for a, b in zip(values, values[1:]))
+        ok = ok and all(abs(v) <= 1.0 for v in values)
+    return Check(
+        "certified window bound and sweep decay",
+        ok,
+        f"worst sup_defect / bound = {worst:.4g} at radius {radius}",
+    )
+
+
+# Each identity with the counts that selftest runs it at.
+CATALOGUE: list[tuple[Callable[..., Check], dict]] = [
+    (chain_rule, {"count": 70}),
+    (skew_action_law, {"count": 100}),
+    (window_exact_vs_mc, {"configs": 4, "samples": 40_000}),
+    (gaussian_profile_decay, {}),
+    (gaussian_window_routes, {"samples": 20_000}),
+    (cauchy_identity, {}),
+    (gram_and_sampling, {"radius": 4, "samples": 20_000}),
+    (projection_defect_identity, {"count": 100}),
+    (symmetric_difference_identity, {"configs": 4, "samples": 20_000}),
+    (coefficient_exact_vs_mc, {"trials": 8, "samples": 30_000}),
+    (interval_overlap_routes, {"count": 4}),
+    (rank_one_hs_bound, {"count": 100}),
+    (certified_window_bound, {"radius": 6}),
+]
 
 
 def _sign_flipped_defect(u: hs.FiniteUnitary, xi) -> float:
@@ -362,110 +363,25 @@ def _sign_flipped_defect(u: hs.FiniteUnitary, xi) -> float:
     return hs.HSOperator(hs.adjoint_act(u, p).matrix + p.matrix).hs_norm_sq()
 
 
-def suite_hs(defect: Callable[..., float] = hs.projection_defect) -> List[Check]:
-    rng = np.random.Generator(np.random.PCG64(5505))
-    checks = []
-
-    ok = True
-    for _ in range(30):
-        dim = int(rng.integers(2, 9))
-        u = hs.random_unitary(dim, rng)
-        t = hs.HSOperator(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        if abs(hs.trace(hs.adjoint_act(u, t)) - hs.trace(t)) > 1e-10:
-            ok = False
-    checks.append(Check("trace invariance under the adjoint action", ok))
-
-    ok = True
-    for _ in range(50):
-        dim = int(rng.integers(2, 9))
-        x = hs.random_unit_vector(dim, rng)
-        y = hs.random_unit_vector(dim, rng) * float(rng.uniform(0.2, 3.0))
-        op = hs.rank_one(x, y)
-        if abs(hs.trace(op) - hs.inner(y, x)) > 1e-12:
-            ok = False
-        if abs(op.hs_norm() - float(np.linalg.norm(y))) > 1e-12:
-            ok = False
-    checks.append(Check("rank-one trace and HS norm", ok))
-
-    ok = True
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        u = hs.random_unitary(dim, rng)
-        x = hs.random_unit_vector(dim, rng)
-        lhs = defect(u, x)
-        rhs = hs.projection_defect_formula(u, x)
-        if abs(lhs - rhs) > 1e-10:
-            ok = False
-    rot = hs.rotation_unitary(math.pi / 4.0)
-    xi = np.array([1.0, 0.0], dtype=np.complex128)
-    ok = ok and abs(defect(rot, xi) - 1.0) <= 1e-12
-    checks.append(Check("projection-defect identity", ok))
-
-    ok = True
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        u = hs.random_unitary(dim, rng)
-        xi1, xi2 = hs.random_unit_vector(dim, rng), hs.random_unit_vector(dim, rng)
-        eta1, eta2 = hs.random_unit_vector(dim, rng), hs.random_unit_vector(dim, rng)
-        value = hs.hs_coefficient(hs.rank_one(xi1, eta1), hs.rank_one(xi2, eta2), u)
-        bound = abs(hs.inner(u.matrix @ eta2, eta1))
-        if abs(value) > bound + 1e-10:
-            ok = False
-    checks.append(Check("rank-one bound on the HS coefficient", ok))
-    return checks
-
-
-def suite_csv() -> List[Check]:
-    checks = []
-    curve = decay_sweep(orientation_system(0.7), ProfileVector.gaussian(), 4, per_shell_cap=3)
-    bufs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        emit_csv(curve, buf)
-        bufs.append(buf.getvalue())
-    ok = bufs[0] == bufs[1] and bufs[0].startswith(
-        "system,profile,radius,word,method,value,stderr,samples,seed\n"
-    )
-    table = almost_invariant_sweep(gaussian_system(), 3, [10, 100])
-    buf = io.StringIO()
-    emit_csv(table, buf)
-    ok = ok and buf.getvalue().startswith("system,ball_radius,n,sup_defect,bound\n")
-    checks.append(Check("CSV emission is deterministic with fixed headers", ok))
-    return checks
-
-
-SUITES: list[tuple[str, Callable[[], List[Check]]]] = [
-    ("group-tree", suite_group_tree),
-    ("orientation-dynamics", suite_orientation),
-    ("gaussian-dynamics", suite_gaussian),
-    ("koopman-lab", suite_koopman),
-    ("hs-adjoint", suite_hs),
-    ("csv-io", suite_csv),
-]
-
-
 def run_selftest(verbosity: int = 1, inject_fault: str | None = None, out=None) -> int:
-    """Run every suite; returns 0 when all checks pass, 1 otherwise."""
+    """Run the catalogue at its small counts; returns 0 when every identity holds, 1 otherwise.
+
+    Verbosity 0 reports failing identities only, 1 every identity with its
+    time, 2 adds each residual.  A failing identity always shows its residual.
+    """
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ValueError(f"unknown fault {inject_fault!r}; known: {KNOWN_FAULTS}")
     emit = out if out is not None else print
-    suites = dict(SUITES)
-    if inject_fault == "projection-defect-sign":
-        suites["hs-adjoint"] = lambda: suite_hs(_sign_flipped_defect)
     all_ok = True
-    for name, fn in suites.items():
+    for check, counts in CATALOGUE:
+        if inject_fault == "projection-defect-sign" and check is projection_defect_identity:
+            counts = {**counts, "defect": _sign_flipped_defect}
         start = time.perf_counter()
-        checks = fn()
+        result = check(**counts)
         elapsed = time.perf_counter() - start
-        passed = sum(1 for c in checks if c.ok)
-        suite_ok = passed == len(checks)
-        all_ok = all_ok and suite_ok
-        if verbosity >= 1:
-            status = "ok" if suite_ok else "FAIL"
-            emit(f"[{status}] {name}: {passed}/{len(checks)} checks ({elapsed:.2f}s)")
-        for c in checks:
-            if not c.ok or verbosity >= 2:
-                mark = "pass" if c.ok else "FAIL"
-                detail = f" ({c.detail})" if c.detail else ""
-                emit(f"    [{mark}] {c.name}{detail}")
+        all_ok = all_ok and result.ok
+        if verbosity >= 1 or not result.ok:
+            status = "ok" if result.ok else "FAIL"
+            detail = f": {result.detail}" if verbosity >= 2 or not result.ok else ""
+            emit(f"[{status}] {result.name}{detail} ({elapsed:.2f}s)")
     return 0 if all_ok else 1

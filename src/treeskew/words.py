@@ -29,7 +29,6 @@ __all__ = [
     "common_prefix_length",
     "distance",
     "geodesic",
-    "median",
     "act_on_edge",
     "letter_order",
     "ball",
@@ -103,6 +102,11 @@ class Word:
     @cached_property
     def fingerprint(self) -> int:
         return fingerprint_letters(self.letters)
+
+    def __hash__(self) -> int:
+        # CPython hashes -1 and -2 alike, so a hash of the letter tuple
+        # cannot tell A from B and whole families of words would collide
+        return self.fingerprint
 
     def __str__(self) -> str:
         if not self.letters:
@@ -213,6 +217,9 @@ class CanonicalEdge:
     def fingerprint(self) -> int:
         return mix64(self.parent.fingerprint ^ ((self.step & MASK64) * GOLDEN & MASK64))
 
+    def __hash__(self) -> int:
+        return self.fingerprint
+
     def __str__(self) -> str:
         return f"({self.parent}|{Word((self.step,), self.parent.rank)})"
 
@@ -249,16 +256,6 @@ def geodesic(x: Word, y: Word) -> GeodesicPath:
     for i in range(m, len(y)):
         steps.append((CanonicalEdge(y.prefix(i), y.letters[i]), +1))
     return GeodesicPath(x, y, tuple(steps))
-
-
-def median(x: Word, y: Word, z: Word) -> Word:
-    """The unique vertex lying on all three pairwise geodesics."""
-    _check_ranks(x, z)
-    t = (distance(x, y) + distance(x, z) - distance(y, z)) // 2
-    m = common_prefix_length(x, y)
-    if t <= len(x) - m:
-        return x.prefix(len(x) - t)
-    return y.prefix(m + t - (len(x) - m))
 
 
 def act_on_edge(g: Word, edge: CanonicalEdge) -> tuple[CanonicalEdge, int]:

@@ -1,7 +1,7 @@
 """Shared fixtures: a breadth-first tree oracle independent of the library.
 
 The oracle works on raw letter tuples with its own one-step reduction, so
-distances, paths and medians come from graph search rather than from the
+distances and paths come from graph search rather than from the
 word-combinatorics code under test.  ``gromov_products`` is the reference
 for Gram matrices: it goes through ``words.distance``, which the oracle
 checks, and never through the ancestor-edge incidence.
@@ -95,16 +95,6 @@ class TreeOracle:
             out.append(parent[out[-1]])
         out.reverse()
         return out
-
-    def median(
-        self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """The unique vertex lying on all three pairwise shortest paths."""
-        common = (
-            set(self.path(x, y)) & set(self.path(y, z)) & set(self.path(x, z))
-        )
-        assert len(common) == 1
-        return common.pop()
 
 
 @pytest.fixture(scope="session")

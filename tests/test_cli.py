@@ -234,6 +234,18 @@ class TestExitCodes:
         assert "max_radius must be >= 1" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [(["window", "--n", "1" + "0" * 400], "window_sizes"),
+         (["decay", "--profile", "window:1" + "0" * 400], "profile")],
+        ids=["window", "decay"],
+    )
+    def test_window_size_beyond_float_range_is_rejected(self, tmp_path, capsys, argv, field):
+        dest = tmp_path / "f.csv"
+        assert main(argv + ["--out", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not dest.exists()
+
     def test_gram_radius_cap(self, capsys):
         assert main(["gram", "--max-radius", "5"]) == 2
         assert "capped at 161 words; radius 5 at rank 2 has 485 words" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from treeskew.words import (
     common_prefix_length,
     distance,
     geodesic,
-    median,
     parse_word,
     sample_word,
     shell,
@@ -140,6 +139,12 @@ class TestGroupStructure:
     def test_words_hash_consistently(self):
         assert len({w("ab"), parse_word("a1 a2", 2), w("ba")}) == 2
 
+    def test_hashes_tell_words_and_edges_apart(self):
+        # a hash of the letter tuple cannot tell A from B (hash(-1) == hash(-2))
+        words, edges = ball(6, 2), ball_edges(6, 2)
+        assert len({hash(v) for v in words}) == len(words)
+        assert len({hash(e) for e in edges}) == len(edges)
+
 
 class TestMetric:
     def test_known_distances(self):
@@ -205,23 +210,6 @@ class TestGeodesic:
         for edge, _ in path.steps:
             assert distance(edge.parent, edge.child) == 1
             assert len(edge.child) == len(edge.parent) + 1
-
-
-class TestMedian:
-    def test_known_medians(self):
-        e = Word.identity(2)
-        assert median(e, w("a"), w("b")) == e
-        assert median(w("ab"), w("aB"), w("a")) == w("a")
-        assert median(w("aa"), w("ab"), w("b")) == w("a")
-        assert median(w("ab"), w("ab"), w("ba")) == w("ab")
-
-    def test_against_bfs_oracle(self, tree_oracle):
-        rng = random.Random(43)
-        verts = tree_oracle.vertices
-        for _ in range(150):
-            a, b, c = (rng.choice(verts) for _ in range(3))
-            got = median(Word(a, 2), Word(b, 2), Word(c, 2))
-            assert got.letters == tree_oracle.median(a, b, c)
 
 
 class TestEdges:
