@@ -33,8 +33,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, TextIO
 
-import numpy as np
-
 from . import hs as hs_bench
 from .gaussian import gram_matrix
 from .koopman import (
@@ -276,17 +274,13 @@ def cmd_gram(config: ExperimentConfig) -> int:
 
 
 def cmd_hs(config: ExperimentConfig) -> int:
-    rng = np.random.Generator(np.random.PCG64(config.seed))
     worst = 0.0
     with _open_out(config.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "dim", "defect", "formula", "residual"])
-        for trial in range(config.samples):
-            dim = 2 + trial % 15
-            u = hs_bench.random_unitary(dim, rng)
-            xi = hs_bench.random_unit_vector(dim, rng)
-            defect = hs_bench.projection_defect(u, xi)
-            formula = hs_bench.projection_defect_formula(u, xi)
+        for trial, dim, defect, formula in hs_bench.projection_defect_trials(
+            config.samples, config.seed, hs_bench.projection_defect
+        ):
             residual = abs(defect - formula)
             worst = max(worst, residual)
             writer.writerow(

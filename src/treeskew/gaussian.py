@@ -26,6 +26,10 @@ cross-checked:
 The cauchy pair has no closed form here: ``gaussian_mean`` averages its
 kernel ``2 pi / (4 + x^2)`` by quadrature, and Monte Carlo is its
 cross-check.
+
+The window defect and the symmetric difference both reduce to the
+capped-shift mean ``E[min(|X|, w)] = sigma sqrt(2/pi) - 2 E[(X - w)+]``,
+which :mod:`treeskew.koopman` evaluates in that closed form.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "adjoint_act",
     "projection_defect",
     "projection_defect_formula",
+    "projection_defect_trials",
     "hs_coefficient",
     "random_unitary",
     "random_unit_vector",
@@ -126,6 +128,24 @@ def projection_defect_formula(u: FiniteUnitary, xi) -> float:
     x = np.asarray(xi, dtype=np.complex128)
     c = inner(u.matrix @ x, x)
     return 2.0 * (1.0 - (c * c.conjugate()).real)
+
+
+def projection_defect_trials(
+    count: int, seed: int, defect: Callable[..., float]
+) -> Iterator[tuple[int, int, float, float]]:
+    """Yield ``(trial, dim, defect, formula)`` for ``count`` random unitaries.
+
+    Trial ``t`` draws a unitary and a unit vector of dimension
+    ``2 + t % 15`` from one ``PCG64(seed)`` stream, then evaluates the given
+    defect route (:func:`projection_defect`, or an injected fault) and
+    :func:`projection_defect_formula` on them.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for trial in range(count):
+        dim = 2 + trial % 15
+        u = random_unitary(dim, rng)
+        xi = random_unit_vector(dim, rng)
+        yield trial, dim, defect(u, xi), projection_defect_formula(u, xi)
 
 
 def hs_coefficient(t1: HSOperator, t2: HSOperator, u: FiniteUnitary) -> complex:

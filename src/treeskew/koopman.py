@@ -15,6 +15,13 @@ Koopman operator carries the factor ``sqrt(d g_*mu / d mu)``, which is
 not applied here, so those values are not positive definite functions
 of ``g``.
 
+Almost invariance is one functional, the capped-shift mean
+``E[min(|S_g|, w)]``.  The window defect ``1 - <pi(g) xi_n, xi_n>`` is
+that mean at ``w = 2n``, divided by ``2n``; the symmetric difference
+``nu(beta_g A delta A)`` of a strip ``A = Omega x I`` is twice that mean at
+``w = |I|``.  Both are computed directly, with no subtraction of nearly
+equal terms.
+
 Exact routes come first: the orientation system averages the profile
 correlation against the binomial path-sum law, and the Gaussian system
 uses the erf/quadrature closed forms.  Monte Carlo is the independent
@@ -41,11 +48,11 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .numerics import expected_excess, shifted_overlap_array
+from .numerics import expected_excess
 from .orientation import cocycle_sampler, path_sum_law
 from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector, check_window_size
-from .words import Word, shell, shell_size, sample_word
+from .words import Word, shell, shell_size, word_at
 
 __all__ = [
     "UnsupportedProfileError",
@@ -215,30 +222,22 @@ def _length_coefficient(
     return CoefficientEstimate(value, 0.0, how, 0, seed)
 
 
-def _set_interval(profile: ProfileVector) -> tuple[float, float]:
-    if not profile.is_interval_kind:
-        raise ValueError(
-            "symmetric difference needs an indicator or window profile as the set"
-        )
-    return profile.support_interval()
-
-
 def symmetric_difference(system: SystemSpec, g: Word, a: ProfileVector) -> float:
     """Measure of ``beta_g(A) symmetric-difference A`` for a strip set A.
 
-    ``A`` is the product of the base space with the profile's interval, so
-    its measure is the interval length and the defect identity
+    ``A`` is the product of the base space with the profile's interval
+    ``[lo, hi]``.  Each fiber of ``beta_g A delta A`` is an interval and its
+    shift by ``S_g``, whose symmetric difference has length
+    ``2 min(|S_g|, hi - lo)``, so
 
-        nu(beta_g A  delta  A) = 2 (nu(A) - <pi(g) chi_A, chi_A>)
+        nu(beta_g A  delta  A) = 2 E[min(|S_g|, hi - lo)],
 
-    is evaluated exactly: the overlap term is the diagonal coefficient of
-    the raw indicator ``chi_A`` of the interval, by the same per-length
-    route as :func:`coefficient`.
+    the capped-shift mean of :func:`_capped_shift_mean`, evaluated exactly
+    with no subtraction of nearly equal terms.
     """
     _check_rank(system, g)
-    chi = ProfileVector.indicator(*_set_interval(a))
-    overlap = _length_coefficient(system, len(g), chi, chi, 0).value
-    return 2.0 * (chi.raw_norm_sq() - overlap)
+    lo, hi = a.support_interval()
+    return 2.0 * _capped_shift_mean(system, len(g), hi - lo)
 
 
 def symmetric_difference_mc(
@@ -247,15 +246,13 @@ def symmetric_difference_mc(
     """Direct Monte Carlo of the symmetric-difference measure.
 
     Each sampled orientation (or Gaussian draw) contributes the exact
-    fiberwise length ``2 (nu(A) - length((I + shift) ∩ I))``; the estimate
-    averages those fibers.
+    fiberwise length ``2 min(|shift|, hi - lo)``; the estimate averages
+    those fibers.
     """
     _check_rank(system, g)
-    interval = _set_interval(a)
-    measure = interval[1] - interval[0]
-    return _mc_estimate(
-        system, g, budget, lambda s: 2.0 * (measure - shifted_overlap_array(s, interval, interval))
-    )
+    lo, hi = a.support_interval()
+    width = hi - lo
+    return _mc_estimate(system, g, budget, lambda s: 2.0 * np.minimum(np.abs(s), width))
 
 
 @dataclass(frozen=True)
@@ -286,13 +283,12 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> tuple[Word, ...]:
-    if cap is None or shell_size(length, rank) <= cap:
+    """The whole shell under the cap; otherwise a seeded sample of ``cap`` distinct indices."""
+    size = shell_size(length, rank)
+    if cap is None or size <= cap:
         return tuple(shell(length, rank))
-    rng = random.Random(f"shell:{seed}:{length}")
-    chosen: dict[Word, None] = {}  # distinct words in first-drawn order
-    while len(chosen) < cap:
-        chosen[sample_word(length, rank, rng)] = None
-    return tuple(chosen)
+    indices = random.Random(f"shell:{seed}:{length}").sample(range(size), cap)
+    return tuple(word_at(length, rank, i) for i in indices)
 
 
 def _check_sweep(
@@ -369,21 +365,21 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
-def _window_defect(system: SystemSpec, length: int, n: int) -> float:
-    """Window defect ``1 - <pi(g) xi_n, xi_n>`` at ``|g| = length``, computed directly.
+def _capped_shift_mean(system: SystemSpec, length: int, width: float) -> float:
+    """``E[min(|S|, width)]`` for the shift ``S`` of a word of length ``length``.
 
-    The defect is ``E[min(|S|, 2n)] / (2n)`` for the shift ``S`` of ``g``:
-    the binomial path-sum expectation for the orientation system, and
-    ``(sigma sqrt(2/pi) - 2 E[(X - 2n)+]) / (2n)`` with ``sigma = sqrt(L)``
-    for the Gaussian one.  Subtracting a coefficient close to 1 from 1
-    would cancel most of its digits instead.
+    The binomial path-sum expectation for the orientation system, and
+    ``sigma sqrt(2/pi) - 2 E[(X - width)+]`` with ``sigma = sqrt(L)`` for the
+    Gaussian one.  Both the window defect and the symmetric difference are
+    this mean, computed directly: subtracting a coefficient close to 1 from
+    1, or an overlap from the set's measure, would cancel most of its digits
+    instead.
     """
-    width = 2.0 * n
     if system.kind == "orientation":
         law = path_sum_law(length, system.p)
-        return law.expectation(lambda s: min(abs(s), width)) / width
+        return law.expectation(lambda s: min(abs(s), width))
     sigma = math.sqrt(length)
-    return (sigma * _SQRT_2_OVER_PI - 2.0 * expected_excess(width, sigma)) / width
+    return sigma * _SQRT_2_OVER_PI - 2.0 * expected_excess(width, sigma)
 
 
 def almost_invariant_sweep(
@@ -395,11 +391,12 @@ def almost_invariant_sweep(
     systems, so the sup over ``ball(R)`` is the max over lengths
     ``0..R``.  The bound column is the certified a priori rate:
     ``R / (2n)`` for the orientation system and
-    ``sqrt(R) sqrt(2/pi) / (2n)`` for the Gaussian one.  The defect is
-    computed directly (see :func:`_window_defect`), so ``sup_defect <=
-    bound`` holds in floating point with no slack; for the Gaussian system
-    it holds by construction, since the defect subtracts a nonnegative
-    excess from the bound's own numerator.
+    ``sqrt(R) sqrt(2/pi) / (2n)`` for the Gaussian one.  The defect is the
+    capped-shift mean ``E[min(|S|, 2n)] / (2n)``, computed directly (see
+    :func:`_capped_shift_mean`), so ``sup_defect <= bound`` holds in
+    floating point with no slack; for the Gaussian system it holds by
+    construction, since the defect subtracts a nonnegative excess from the
+    bound's own numerator.
     """
     if ball_radius < 0:
         raise ValueError(f"ball_radius must be >= 0, got {ball_radius}")
@@ -408,11 +405,14 @@ def almost_invariant_sweep(
         raise ValueError("at least one window size is required")
     rows = []
     for n in sizes:
-        defect = max(_window_defect(system, length, n) for length in range(ball_radius + 1))
+        width = 2.0 * n
+        defect = max(
+            _capped_shift_mean(system, length, width) / width for length in range(ball_radius + 1)
+        )
         if system.kind == "orientation":
-            bound = ball_radius / (2.0 * n)
+            bound = ball_radius / width
         else:
-            bound = math.sqrt(ball_radius) * _SQRT_2_OVER_PI / (2.0 * n)
+            bound = math.sqrt(ball_radius) * _SQRT_2_OVER_PI / width
         rows.append(SweepRow(n, defect, bound))
     return SweepTable(system, ball_radius, tuple(rows))
 

@@ -7,13 +7,16 @@ the cocycle shift.  Four families are supported:
 
 * ``window(n)``: the indicator of [-n, n] scaled to unit norm,
 * ``indicator(a, b)``: the raw indicator of an interval,
-* ``gaussian``: ``exp(-t^2)``,
-* ``cauchy``: ``1 / (1 + t^2)``.
+* ``gaussian``: ``exp(-t^2)`` scaled to unit norm,
+* ``cauchy``: ``1 / (1 + t^2)`` scaled to unit norm.
 
-The gaussian and cauchy squared norms are the closed forms ``sqrt(pi/2)``
-and ``pi/2``; the cauchy correlation kernel has the candidate closed form
-``2 pi / (4 + s^2)``, which is validated against this module's own
-quadrature the first time it is trusted.
+The kind fixes the normalization: an indicator stays raw, so its
+correlation with itself at shift ``s`` is the overlap length
+``max(hi - lo - |s|, 0)``, and every other kind is unit.  The gaussian and
+cauchy squared norms are the closed forms ``sqrt(pi/2)`` and ``pi/2``, and
+the cauchy correlation kernel is the closed form ``2 pi / (4 + s^2)``;
+:func:`cauchy_kernel_by_quadrature` is its reference route, which the
+``selftest`` identity catalogue checks it against.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _KINDS = ("window", "indicator", "gaussian", "cauchy")
-_NORMALIZATIONS = ("unit", "raw")
 # The largest window size whose square is a finite float, since a window
 # pair scales by 1 / (2 sqrt(n1 n2)).
 _MAX_WINDOW = math.isqrt(int(sys.float_info.max))
@@ -76,20 +77,8 @@ def cauchy_kernel_by_quadrature(x: float, tol: float = 1e-10) -> float:
     return adaptive_simpson(integrand, -_HALF_PI, _HALF_PI, tol)
 
 
-@lru_cache(maxsize=1)
-def _kernel_validated() -> bool:
-    for x in (0.0, 1.0, 5.0, 20.0):
-        closed = 2.0 * math.pi / (4.0 + x * x)
-        if abs(closed - cauchy_kernel_by_quadrature(x)) > 1e-8:
-            raise ArithmeticError(
-                f"cauchy kernel closed form disagrees with quadrature at x={x}"
-            )
-    return True
-
-
 def cauchy_kernel(x: float) -> float:
-    """Cauchy-profile correlation ``2 pi / (4 + x^2)``, quadrature-checked once."""
-    _kernel_validated()
+    """Cauchy-profile correlation ``2 pi / (4 + x^2)``."""
     return 2.0 * math.pi / (4.0 + x * x)
 
 
@@ -105,26 +94,21 @@ def gaussian_norm_sq() -> float:
 
 @dataclass(frozen=True)
 class ProfileVector:
-    """One profile with its normalization convention.
+    """One profile; its kind fixes its normalization.
 
-    ``unit`` rescales the profile to L2-norm one; ``raw`` keeps the defining
-    function as is.  Windows are unit by construction.
+    An indicator is the raw indicator of its interval; window, gaussian
+    and cauchy profiles are scaled to L2-norm one.
     """
 
     kind: str
     n: Optional[int] = None
     interval: Optional[tuple[float, float]] = None
-    normalization: str = "unit"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.kind == "window":
             check_window_size(self.n)
-            if self.normalization != "unit":
-                raise ValueError("window profiles are unit-normalized by construction")
         elif self.n is not None:
             raise ValueError(f"{self.kind!r} profile takes no window size")
         if self.kind == "indicator":
@@ -139,24 +123,24 @@ class ProfileVector:
         return cls("window", n=n)
 
     @classmethod
-    def indicator(cls, a: float, b: float, normalization: str = "raw") -> "ProfileVector":
-        return cls("indicator", interval=(a, b), normalization=normalization)
+    def indicator(cls, a: float, b: float) -> "ProfileVector":
+        return cls("indicator", interval=(a, b))
 
     @classmethod
-    def gaussian(cls, normalization: str = "unit") -> "ProfileVector":
-        return cls("gaussian", normalization=normalization)
+    def gaussian(cls) -> "ProfileVector":
+        return cls("gaussian")
 
     @classmethod
-    def cauchy(cls, normalization: str = "unit") -> "ProfileVector":
-        return cls("cauchy", normalization=normalization)
+    def cauchy(cls) -> "ProfileVector":
+        return cls("cauchy")
 
     def label(self) -> str:
         if self.kind == "window":
             return f"window({self.n})"
         if self.kind == "indicator":
             a, b = self.interval
-            return f"indicator({a!r}:{b!r})[{self.normalization}]"
-        return f"{self.kind}[{self.normalization}]"
+            return f"indicator({a!r}:{b!r})[raw]"
+        return f"{self.kind}[unit]"
 
     @property
     def is_interval_kind(self) -> bool:
@@ -168,9 +152,10 @@ class ProfileVector:
             return (-float(self.n), float(self.n))
         if self.kind == "indicator":
             return self.interval
-        raise ValueError(f"{self.kind!r} profile has no interval support")
+        raise ValueError(f"only indicator or window profiles have an interval, not {self.kind!r}")
 
     def raw_norm_sq(self) -> float:
+        """Squared L2 norm of the defining function, before any scaling."""
         if self.kind == "window":
             return 2.0 * self.n
         if self.kind == "indicator":
@@ -180,19 +165,12 @@ class ProfileVector:
             return gaussian_norm_sq()
         return cauchy_norm_sq()
 
-    def norm_sq(self) -> float:
-        return 1.0 if self.normalization == "unit" else self.raw_norm_sq()
-
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.sqrt(self.raw_norm_sq()) if self.kind == "indicator" else 1.0
 
     def _height(self) -> float:
         """Scale factor applied to the defining function of the profile."""
-        if self.kind == "window":
-            return 1.0 / math.sqrt(2.0 * self.n)
-        if self.normalization == "raw":
-            return 1.0
-        return 1.0 / math.sqrt(self.raw_norm_sq())
+        return 1.0 if self.kind == "indicator" else 1.0 / math.sqrt(self.raw_norm_sq())
 
     def _pair_kind(self, other: "ProfileVector") -> str:
         if self.is_interval_kind and other.is_interval_kind:
@@ -233,7 +211,6 @@ class ProfileVector:
             )
         if pair == "gaussian":
             return scale * _SQRT_HALF_PI * np.exp(-0.5 * s * s)
-        cauchy_kernel(0.0)  # force the one-time closed-form validation
         return scale * 2.0 * math.pi / (4.0 + s * s)
 
     def gaussian_mean(self, other: "ProfileVector", sigma: float) -> tuple[float, str]:

@@ -35,6 +35,7 @@ __all__ = [
     "ball_size",
     "shell",
     "shell_size",
+    "word_at",
     "ball_edges",
     "sample_word",
 ]
@@ -327,6 +328,31 @@ def shell_size(length: int, rank: int) -> int:
         return 1
     k = rank
     return 2 * k * (2 * k - 1) ** (length - 1)
+
+
+def word_at(length: int, rank: int, index: int) -> Word:
+    """The word at position ``index`` of :func:`shell`'s enumeration order.
+
+    The index is read as digits, most significant first: the first letter
+    is one digit in base ``2k`` over :func:`letter_order`, and each later
+    letter is one digit in base ``2k - 1`` over the letters that do not
+    cancel the previous one.
+    """
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if not 0 <= index < shell_size(length, rank):
+        raise ValueError(f"index {index} is outside the shell of length {length}")
+    order = letter_order(rank)
+    digits = []
+    for _ in range(length - 1):
+        index, digit = divmod(index, 2 * rank - 1)
+        digits.append(digit)
+    letters = [order[index]] if length else []
+    for digit in reversed(digits):
+        letters.append([s for s in order if s != -letters[-1]][digit])
+    return _reduced(tuple(letters), rank)
 
 
 def ball_edges(radius: int, rank: int) -> list[CanonicalEdge]:

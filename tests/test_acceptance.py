@@ -115,7 +115,7 @@ def test_09_cli_determinism(capsys, tmp_path):
 
 test_10_symmetric_difference_identity = at_full_scale(
     selftest.symmetric_difference_identity,
-    "symmetric-difference overlap identity vs MC, 20 configs",
+    "symmetric difference: capped-shift mean vs MC, 20 configs",
     60,
     configs=20,
     samples=50_000,

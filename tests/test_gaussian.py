@@ -34,9 +34,9 @@ def window_mean(sigma: float, n: int) -> float:
 
 
 def cauchy_mean(sigma: float) -> float:
-    """Raw cauchy-profile coefficient ``E[2 pi / (4 + X^2)]``."""
-    raw = ProfileVector.cauchy("raw")
-    return raw.gaussian_mean(raw, sigma)[0]
+    """``E[2 pi / (4 + X^2)]``: the unit cauchy coefficient times the raw norm ``pi / 2``."""
+    unit = ProfileVector.cauchy()
+    return unit.gaussian_mean(unit, sigma)[0] * (math.pi / 2.0)
 
 
 def overlap_mean(g: Word, first, second) -> float:
@@ -180,10 +180,14 @@ class TestWindowCoefficient:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.0, 5.0])
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 100])
     def test_erf_form_matches_quadrature(self, sigma, n):
-        closed = window_mean(sigma, n)
-        quad = window_coefficient_by_quadrature(sigma, n)
-        assert abs(closed - quad) <= 1e-9
-        assert 0.0 < closed <= 1.0
+        # the catalogue's gaussian_window_routes holds this grid against the
+        # package's own quadrature at 1e-9; this reference is 40-digit mpmath
+        # quadrature, so the erf form is held to its rounding error
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            t = 2 * n
+            want = mp.quad(lambda x: (t - abs(x)) * mp.npdf(x, 0, sigma), [-t, 0, t]) / t
+        assert abs(window_mean(sigma, n) - float(want)) <= 1e-15
 
     def test_large_window_asymptote(self):
         for sigma in (0.5, 1.0, 2.0):
@@ -274,17 +278,22 @@ class TestSkewCoefficientDispatch:
 
     def test_cauchy_routes(self):
         g = w("aba")
-        raw = skew_coefficient(g, ProfileVector.cauchy("raw"))
         unit = skew_coefficient(g, ProfileVector.cauchy())
-        assert raw == pytest.approx(cauchy_mean(math.sqrt(3.0)), abs=1e-12)
+        assert unit * (math.pi / 2.0) == pytest.approx(cauchy_mean(math.sqrt(3.0)), abs=1e-12)
+        # the defining kernel 2 pi / (4 + x^2), averaged by this module's own quadrature
+        raw = gaussian_expectation(lambda x: 2.0 * math.pi / (4.0 + x * x), math.sqrt(3.0))
         assert unit == pytest.approx(raw / (math.pi / 2.0), abs=1e-9)
 
     def test_gaussian_routes(self):
         g = w("ab")
         unit = skew_coefficient(g, ProfileVector.gaussian())
-        raw = skew_coefficient(g, ProfileVector.gaussian("raw"))
         assert unit == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
-        assert raw == pytest.approx(math.sqrt(math.pi / 2.0) / math.sqrt(3.0), abs=1e-12)
+        # scaled by the raw norm sqrt(pi / 2) of exp(-t^2), it is the defining
+        # kernel sqrt(pi / 2) exp(-x^2 / 2) averaged over X ~ N(0, 2)
+        root = math.sqrt(math.pi / 2.0)
+        raw = gaussian_expectation(lambda x: root * math.exp(-0.5 * x * x), math.sqrt(2.0))
+        assert unit * root == pytest.approx(root / math.sqrt(3.0), abs=1e-12)
+        assert unit * root == pytest.approx(raw, abs=1e-9)
 
     def test_matches_profile_pair_mean(self):
         g = w("abA")

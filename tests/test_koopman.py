@@ -3,12 +3,13 @@ import io
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_letters
-from treeskew import koopman
+from treeskew import koopman, words as words_module
 from treeskew.cli import main as cli_main
 from treeskew.koopman import (
     CoefficientEstimate,
@@ -27,7 +28,7 @@ from treeskew.koopman import (
 from treeskew.orientation import cocycle_sampler
 from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr
 from treeskew.profiles import ProfileVector
-from treeskew.words import Word, parse_word
+from treeskew.words import Word, parse_word, shell_size
 
 OSYS = orientation_system(0.7)
 GSYS = gaussian_system()
@@ -162,7 +163,8 @@ class TestMonteCarlo:
                 "--samples", "20000", "--out", str(dest)]
         assert cli_main(argv) == 0
         rows = [row for row in csv.DictReader(io.StringIO(dest.read_text())) if row["radius"] == "1"]
-        assert sorted(row["word"] for row in rows) == ["B", "b"]
+        words = [row["word"] for row in rows]
+        assert len(words) == len(set(words)) == 2 and all(len(word) == 1 for word in words)
         prof = ProfileVector.gaussian()
         kernel_at_one = prof.correlation(prof, 1.0)
         assert kernel_at_one == coefficient(OSYS, w("b"), prof, prof).value
@@ -308,6 +310,22 @@ class TestSymmetricDifference:
         m2 = symmetric_difference_mc(OSYS, w("ab"), a, MCBudget(10_000, 1))
         assert m1.value == m2.value
 
+    @pytest.mark.parametrize("system", [OSYS, GSYS])
+    def test_no_cancellation_for_a_huge_window(self, system):
+        # with width 2e9 the cap never binds, so the measure is 2 E|S|; the
+        # old route 2 (nu(A) - overlap) lost seven digits to the subtraction
+        mp = pytest.importorskip("mpmath")
+        if system.kind == "orientation":
+            # |S| = 2 when the two edges of "ab" agree in orientation, 0 otherwise
+            p = Fraction(7, 10)
+            want = float(2 * 2 * (p**2 + (1 - p) ** 2))
+            assert want == 2.32
+        else:
+            with mp.workdps(40):
+                want = float(2 * mp.sqrt(2) * mp.sqrt(2 / mp.pi))
+        got = symmetric_difference(system, w("ab"), ProfileVector.window(10**9))
+        assert abs(got - want) <= 1e-15 * want
+
     def test_smooth_profile_rejected(self):
         with pytest.raises(ValueError, match="indicator or window"):
             symmetric_difference(OSYS, w("a"), ProfileVector.gaussian())
@@ -361,6 +379,28 @@ class TestDecaySweep:
             words = [w for pt in curve.points if pt.radius == radius for w in pt.words]
             assert len(words) == len(set(words)) == 12
             assert all(len(word) == radius for word in words)
+
+    @pytest.mark.parametrize("length,rank", [(5, 2), (4, 3)])
+    def test_capped_shell_builds_each_word_once(self, monkeypatch, length, rank):
+        # a cap one below the shell size draws each sampled word once: no
+        # redraws of words already held, through either Word constructor
+        built = []
+        checked, reduced = Word.__post_init__, words_module._reduced
+
+        def counted_check(word):
+            built.append(word.letters)
+            checked(word)
+
+        def counted_reduced(letters, rank):
+            built.append(letters)
+            return reduced(letters, rank)
+
+        monkeypatch.setattr(Word, "__post_init__", counted_check)
+        monkeypatch.setattr(words_module, "_reduced", counted_reduced)
+        size = shell_size(length, rank)
+        got = koopman._shell_words(length, rank, size - 1, seed=0)
+        assert len(got) == len(set(got)) == len(built) == size - 1
+        assert all(len(word) == length and word.rank == rank for word in got)
 
     def test_huge_shell_needs_cap(self):
         with pytest.raises(ValueError, match="per_shell_cap"):

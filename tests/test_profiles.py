@@ -22,12 +22,11 @@ def height_function(profile: ProfileVector):
         return lambda t: h if -n <= t <= n else 0.0
     if profile.kind == "indicator":
         a, b = profile.interval
-        h = 1.0 if profile.normalization == "raw" else 1.0 / math.sqrt(b - a)
-        return lambda t: h if a <= t <= b else 0.0
+        return lambda t: 1.0 if a <= t <= b else 0.0
     if profile.kind == "gaussian":
-        h = 1.0 if profile.normalization == "raw" else (2.0 / math.pi) ** 0.25
+        h = (2.0 / math.pi) ** 0.25
         return lambda t: h * math.exp(-t * t)
-    h = 1.0 if profile.normalization == "raw" else math.sqrt(2.0 / math.pi)
+    h = math.sqrt(2.0 / math.pi)
     return lambda t: h / (1.0 + t * t)
 
 
@@ -82,8 +81,10 @@ class TestConstruction:
             ProfileVector("window")
 
     def test_window_must_stay_unit(self):
-        with pytest.raises(ValueError):
+        # the kind fixes the normalization: there is no knob to ask for a raw window
+        with pytest.raises(TypeError):
             ProfileVector("window", n=3, normalization="raw")
+        assert ProfileVector.window(3).norm() == 1.0
 
     def test_indicator_needs_interval(self):
         with pytest.raises(ValueError):
@@ -100,8 +101,8 @@ class TestConstruction:
     def test_labels(self):
         assert ProfileVector.window(5).label() == "window(5)"
         assert ProfileVector.gaussian().label() == "gaussian[unit]"
-        assert ProfileVector.cauchy("raw").label() == "cauchy[raw]"
-        assert "indicator" in ProfileVector.indicator(0, 1).label()
+        assert ProfileVector.cauchy().label() == "cauchy[unit]"
+        assert ProfileVector.indicator(0, 1).label() == "indicator(0.0:1.0)[raw]"
 
     def test_support_interval(self):
         assert ProfileVector.window(3).support_interval() == (-3.0, 3.0)
@@ -112,24 +113,23 @@ class TestConstruction:
 
 class TestNorms:
     def test_unit_norm_is_one(self):
-        for prof in (
-            ProfileVector.window(4),
-            ProfileVector.gaussian(),
-            ProfileVector.cauchy(),
-            ProfileVector.indicator(0, 3, normalization="unit"),
-        ):
-            assert prof.norm_sq() == 1.0
+        for prof in (ProfileVector.window(4), ProfileVector.gaussian(), ProfileVector.cauchy()):
             assert prof.norm() == 1.0
 
     def test_raw_norms(self):
         assert ProfileVector.window(4).raw_norm_sq() == 8.0
-        assert ProfileVector.indicator(-1, 2).norm_sq() == 3.0
-        assert ProfileVector.gaussian("raw").norm_sq() == pytest.approx(
-            math.sqrt(math.pi / 2.0), abs=1e-10
-        )
-        assert ProfileVector.cauchy("raw").norm_sq() == pytest.approx(
-            math.pi / 2.0, abs=1e-10
-        )
+        assert ProfileVector.indicator(-1, 2).norm() == math.sqrt(3.0)
+        # a unit profile's correlation scaled by its raw squared norm is the
+        # correlation of the defining function exp(-t^2) or 1 / (1 + t^2)
+        root = math.sqrt(math.pi / 2.0)
+        for prof, raw_norm_sq, raw_kernel in (
+            (ProfileVector.gaussian(), root, lambda s: root * math.exp(-0.5 * s * s)),
+            (ProfileVector.cauchy(), math.pi / 2.0, lambda s: 2.0 * math.pi / (4.0 + s * s)),
+        ):
+            assert prof.raw_norm_sq() == pytest.approx(raw_norm_sq, abs=1e-10)
+            for s in (-3.2, 0.0, 0.7, 2.5):
+                raw = raw_norm_sq * prof.correlation(prof, s)
+                assert raw == pytest.approx(raw_kernel(s), abs=1e-12)
 
 
 PAIRS = [
@@ -138,9 +138,9 @@ PAIRS = [
     (ProfileVector.window(2), ProfileVector.indicator(-0.5, 1.5)),
     (ProfileVector.indicator(0, 2), ProfileVector.indicator(-1, 1)),
     (ProfileVector.gaussian(), ProfileVector.gaussian()),
-    (ProfileVector.gaussian("raw"), ProfileVector.gaussian("raw")),
+    (ProfileVector.indicator(-1, 2.5), ProfileVector.indicator(-1, 2.5)),
     (ProfileVector.cauchy(), ProfileVector.cauchy()),
-    (ProfileVector.cauchy("raw"), ProfileVector.cauchy("raw")),
+    (ProfileVector.indicator(0, 2), ProfileVector.window(1)),
 ]
 
 

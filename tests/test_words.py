@@ -17,6 +17,7 @@ from treeskew.words import (
     sample_word,
     shell,
     shell_size,
+    word_at,
 )
 
 
@@ -302,6 +303,16 @@ class TestEnumeration:
                 assert v == Word(v.letters, rank)
                 assert hash(v) == hash(Word(v.letters, rank))
                 assert len(v) == length
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_word_at_unranks_the_shell_order(self, rank):
+        for length in range(6):
+            size = shell_size(length, rank)
+            assert [word_at(length, rank, i) for i in range(size)] == shell(length, rank)
+            with pytest.raises(ValueError, match="outside the shell"):
+                word_at(length, rank, size)
+        with pytest.raises(ValueError, match="outside the shell"):
+            word_at(3, rank, -1)
 
     def test_ball_is_union_of_shells(self):
         words = ball(4, 2)
