@@ -72,7 +72,7 @@ class ExperimentConfig:
     samples: int = 100_000
     seed: int = 0
     workers: int = 1  # accepted and validated, but it selects nothing
-    method: str = "auto"
+    method: str = "exact"
     out: Optional[str] = None
 
 
@@ -101,8 +101,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.method not in ("auto", "exact", "mc"):
-        raise ConfigError(f"method must be auto, exact or mc, got {config.method!r}")
+    if config.method not in ("exact", "mc"):
+        raise ConfigError(f"method must be exact or mc, got {config.method!r}")
     return config
 
 
@@ -145,7 +145,7 @@ _FIELDS = {
     "samples": (int, "--samples", "N", "Monte Carlo samples, or hs trials"),
     "seed": (int, "--seed", "SEED", "random seed"),
     "workers": (int, "--workers", "W", "accepted (>= 1) and has no effect"),
-    "method": (str, "--method", "METHOD", "auto | exact | mc"),
+    "method": (str, "--method", "METHOD", "exact | mc"),
     "out": (str, "--out", "FILE", "CSV destination (default stdout)"),
 }
 

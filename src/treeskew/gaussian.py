@@ -15,13 +15,10 @@ factor (``gram = A A^T``), and draws joint samples through it.
 A single group element only enters a matrix coefficient through
 ``sigma = sqrt(|g|)``, the standard deviation of its shift.  The closed
 forms at any sigma are :meth:`ProfileVector.gaussian_mean`; this module
-keeps their independent quadrature routes, so the two can be
-cross-checked:
-
-* window profile: quadrature of the defining integral
-  ``E[max(2n - |X|, 0)] / (2n)``,
-* indicator sets: quadrature of the expected overlap
-  ``E[length((I + X) ∩ J)]``.
+keeps their independent quadrature route, the expected interval overlap
+``E[length((I + X) ∩ J)]``, so the two can be cross-checked.  It covers
+the window profile too: ``window(n)`` is the overlap of ``[-n, n]`` with
+itself, divided by ``2n``.
 
 The cauchy pair has no closed form here: ``gaussian_mean`` averages its
 kernel ``2 pi / (4 + x^2)`` by quadrature, and Monte Carlo is its
@@ -45,7 +42,6 @@ from .words import Word
 __all__ = [
     "GaussianSystem",
     "gram_matrix",
-    "window_coefficient_by_quadrature",
     "interval_overlap_by_quadrature",
 ]
 
@@ -106,19 +102,8 @@ def gram_matrix(words: Sequence[Word]) -> GaussianSystem:
     return GaussianSystem(words, incidence @ incidence.T, incidence)
 
 
-def window_coefficient_by_quadrature(sigma: float, n: int, tol: float = 1e-10) -> float:
-    """``E[max(2n - |X|, 0)] / (2n)`` for ``X ~ N(0, sigma^2)``, by quadrature."""
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    c = 2.0 * n
-    value = gaussian_expectation(
-        lambda x: max(c - abs(x), 0.0), sigma, tol, breakpoints=(-c, 0.0, c)
-    )
-    return value / c
-
-
 def interval_overlap_by_quadrature(
-    sigma: float, first: Sequence[float], second: Sequence[float], tol: float = 1e-10
+    sigma: float, first: Sequence[float], second: Sequence[float]
 ) -> float:
     """Quadrature route for the expected interval overlap."""
     i = check_interval(first)
@@ -127,5 +112,5 @@ def interval_overlap_by_quadrature(
         return interval_overlap(i, j)
     knots = (j[0] - i[1], j[0] - i[0], j[1] - i[1], j[1] - i[0])
     return gaussian_expectation(
-        lambda x: interval_overlap((i[0] + x, i[1] + x), j), sigma, tol, breakpoints=knots
+        lambda x: interval_overlap((i[0] + x, i[1] + x), j), sigma, breakpoints=knots
     )

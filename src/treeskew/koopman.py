@@ -31,6 +31,11 @@ through the edge PRF, Gaussian shifts ``sqrt(|g|) * N(0, 1)`` from one
 (:mod:`treeskew.parallel`) so that memory stays bounded and results are
 bit-identical for a fixed seed.
 
+A decay point covers the words that share one computation: a whole
+sampled shell for the exact and quadrature routes and for Gaussian Monte
+Carlo, whose draws depend on a word only through its length, and a single
+word for orientation Monte Carlo, whose draws read that word's own edges.
+
 CSV schemas (all reals printed with 17 significant digits):
 
 * decay curves:  ``system,profile,radius,word,method,value,stderr,samples,seed``
@@ -43,8 +48,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
@@ -145,7 +149,7 @@ class CoefficientEstimate:
 
 
 def _check_method(method: str) -> None:
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
 
 
@@ -186,15 +190,18 @@ def coefficient(
     xi: ProfileVector,
     eta: ProfileVector,
     budget: Optional[MCBudget] = None,
-    method: str = "auto",
+    method: str = "exact",
 ) -> CoefficientEstimate:
     """Matrix coefficient ``<pi(g) xi, eta>`` of the chosen system.
 
-    ``method="auto"`` uses the exact route (path-sum law for the
-    orientation system, erf/quadrature closed forms for the Gaussian one);
-    ``method="mc"`` forces the Monte Carlo route with the given budget.
-    The value is always bounded by ``xi.norm() * eta.norm()`` because the
-    correlation kernel is pointwise bounded by it.
+    ``method="exact"`` averages the profile correlation against the law of
+    the shift: the binomial path-sum law for the orientation system, the
+    erf/quadrature closed forms at ``sigma = sqrt(|g|)`` for the Gaussian
+    one.  In both systems the shift is a sum over the outward geodesic, so
+    this value depends on ``g`` only through its length.  ``method="mc"``
+    takes the Monte Carlo route with the given budget.  The value is always
+    bounded by ``xi.norm() * eta.norm()`` because the correlation kernel is
+    pointwise bounded by it.
     """
     _check_rank(system, g)
     _check_method(method)
@@ -202,23 +209,11 @@ def coefficient(
     if method == "mc":
         return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
     seed = budget.seed if budget is not None else 0
-    return _length_coefficient(system, len(g), xi, eta, seed)
-
-
-def _length_coefficient(
-    system: SystemSpec, length: int, xi: ProfileVector, eta: ProfileVector, seed: int
-) -> CoefficientEstimate:
-    """Exact or quadrature ``<pi(g) xi, eta>`` shared by every word with ``|g| = length``.
-
-    In both systems the cocycle shift of ``g`` is a sum over the outward
-    geodesic, so its law, and with it the coefficient, depends on ``g``
-    only through its length.
-    """
     if system.kind == "orientation":
-        law = path_sum_law(length, system.p)
+        law = path_sum_law(len(g), system.p)
         value = law.expectation(lambda s: xi.correlation(eta, float(s)))
         return CoefficientEstimate(value, 0.0, "exact", 0, seed)
-    value, how = xi.gaussian_mean(eta, math.sqrt(length))
+    value, how = xi.gaussian_mean(eta, math.sqrt(len(g)))
     return CoefficientEstimate(value, 0.0, how, 0, seed)
 
 
@@ -259,9 +254,11 @@ def symmetric_difference_mc(
 class DecayPoint:
     """One estimate of a decay sweep and the words of shell ``radius`` it covers.
 
-    An exact or quadrature point covers every sampled word of its shell,
-    because those coefficients depend on a word only through its length;
-    a Monte Carlo point covers one word, estimated from its own edge draws.
+    A point covers the words that share one computation.  Exact and
+    quadrature values, and the Gaussian Monte Carlo draws, depend on a word
+    only through its length, so such a point covers every sampled word of
+    its shell; an orientation Monte Carlo point covers one word, estimated
+    from the draws on that word's own edges.
     """
 
     radius: int
@@ -321,31 +318,29 @@ def decay_sweep(
     max_radius: int,
     per_shell_cap: Optional[int] = None,
     budget: Optional[MCBudget] = None,
-    method: str = "auto",
+    method: str = "exact",
 ) -> DecayCurve:
     """Evaluate the diagonal coefficient over shells ``L = 1..max_radius``.
 
     Shells are enumerated exhaustively when they fit under the cap and
-    sampled uniformly (seeded, without replacement) otherwise.  The exact
-    and quadrature routes evaluate once per length, so the curve holds one
-    point per shell, covering all of its sampled words.  Only the Monte
-    Carlo route evaluates each word through its own edge draws and holds
-    one point per word; there the spread within a shell is a real check:
-    any spread beyond the noise would reveal a dependence on word shape
-    beyond length.
+    sampled uniformly (seeded, without replacement) otherwise.  Each point
+    is one :func:`coefficient` call for the words that share its draws.
+    The exact and quadrature routes and the Gaussian Monte Carlo route see
+    a word only through its length, so they hold one point per shell.  The
+    orientation Monte Carlo route reads each word's own edges and holds one
+    point per word; there the spread within a shell is a real check: any
+    spread beyond the noise would reveal a dependence on word shape beyond
+    length.
     """
     _check_sweep(system, profile, max_radius, per_shell_cap, method)
     seed = budget.seed if budget is not None else 0
+    per_word = method == "mc" and system.kind == "orientation"
     points = []
     for length in range(1, max_radius + 1):
         words = _shell_words(length, system.rank, per_shell_cap, seed)
-        if method == "mc":
-            for w in words:
-                est = coefficient(system, w, profile, profile, budget=budget, method="mc")
-                points.append(DecayPoint(length, (w,), est))
-        else:
-            est = _length_coefficient(system, length, profile, profile, seed)
-            points.append(DecayPoint(length, words, est))
+        for group in ([(w,) for w in words] if per_word else [words]):
+            est = coefficient(system, group[0], profile, profile, budget, method)
+            points.append(DecayPoint(length, group, est))
     return DecayCurve(system, profile, tuple(points))
 
 
@@ -421,20 +416,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def emit_csv(obj: Union[DecayCurve, SweepTable], dest) -> None:
-    """Write a curve or sweep table as CSV (schemas in the module docstring).
+def emit_csv(obj: Union[DecayCurve, SweepTable], fh: TextIO) -> None:
+    """Write a curve or sweep table as CSV to an open text file.
 
-    ``dest`` may be a path or an open text file.  Output is byte-stable:
-    fixed header, fixed row order, reals at 17 significant digits.
+    Schemas are in the module docstring.  Output is byte-stable: fixed
+    header, fixed row order, reals at 17 significant digits.
     """
-    if hasattr(dest, "write"):
-        _write_csv(obj, dest)
-        return
-    with open(Path(dest), "w", newline="") as fh:
-        _write_csv(obj, fh)
-
-
-def _write_csv(obj, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     if isinstance(obj, DecayCurve):
         writer.writerow(

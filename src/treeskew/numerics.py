@@ -24,20 +24,18 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# bisections allowed below each adaptive Simpson interval
+_MAX_DEPTH = 48
+# gaussian_expectation integrates over [-_SPAN * sigma, _SPAN * sigma]
+_SPAN = 8.0
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 48,
-) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature of ``f`` on [a, b] to absolute tolerance.
 
     Classic recursive bisection with the Richardson correction term; each
     half inherits half the tolerance budget.  Raises ``ArithmeticError``
-    when a subinterval still misses its tolerance after ``max_depth``
+    when a subinterval still misses its tolerance after ``_MAX_DEPTH``
     bisections, rather than returning an unconverged value.
     """
     if a == b:
@@ -46,7 +44,7 @@ def adaptive_simpson(
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
 def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -113,18 +111,17 @@ def gaussian_expectation(
     sigma: float,
     tol: float = 1e-10,
     breakpoints: Iterable[float] = (),
-    span: float = 8.0,
 ) -> float:
-    """``E[f(X)]`` for ``X ~ N(0, sigma^2)`` by quadrature on [-span*sigma, span*sigma].
+    """``E[f(X)]`` for ``X ~ N(0, sigma^2)`` by quadrature on [-8 sigma, 8 sigma].
 
     ``sigma == 0`` degenerates to ``f(0)``.  The truncation error is below
-    ``sup|f| * 1.3e-15`` at the default span.
+    ``sup|f| * 1.3e-15``.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return f(0.0)
-    lo, hi = -span * sigma, span * sigma
+    lo, hi = -_SPAN * sigma, _SPAN * sigma
     return integrate_with_breakpoints(
         lambda x: f(x) * normal_pdf(x, sigma), lo, hi, tol, breakpoints
     )

@@ -61,7 +61,7 @@ def check_window_size(n) -> int:
     return n
 
 
-def cauchy_kernel_by_quadrature(x: float, tol: float = 1e-10) -> float:
+def cauchy_kernel_by_quadrature(x: float) -> float:
     """``integral h(t) h(t + x) dt`` for ``h(t) = 1/(1 + t^2)``, by quadrature.
 
     Substituting ``t = tan(u)`` turns the integral into the bounded smooth
@@ -74,7 +74,7 @@ def cauchy_kernel_by_quadrature(x: float, tol: float = 1e-10) -> float:
         w = math.tan(u) + x
         return 1.0 / (1.0 + w * w)
 
-    return adaptive_simpson(integrand, -_HALF_PI, _HALF_PI, tol)
+    return adaptive_simpson(integrand, -_HALF_PI, _HALF_PI)
 
 
 def cauchy_kernel(x: float) -> float:

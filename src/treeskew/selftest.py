@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import hs
-from .gaussian import gram_matrix, interval_overlap_by_quadrature, window_coefficient_by_quadrature
+from .gaussian import gram_matrix, interval_overlap_by_quadrature
 from .koopman import (
     MCBudget,
     almost_invariant_sweep,
@@ -157,7 +157,7 @@ def gaussian_window_routes(samples: int) -> Check:
         for n in (1, 2, 5, 10, 100):
             win = ProfileVector.window(n)
             closed = win.gaussian_mean(win, sigma)[0]
-            quad = window_coefficient_by_quadrature(sigma, n)
+            quad = interval_overlap_by_quadrature(sigma, (-n, n), (-n, n)) / (2.0 * n)
             f = np.maximum(2.0 * n - np.abs(sigma * rng.standard_normal(samples)), 0.0) / (2.0 * n)
             stderr = float(f.std(ddof=1)) / math.sqrt(samples)
             ok = ok and 0.0 < closed <= 1.0 and abs(closed - quad) <= 1e-9

@@ -92,13 +92,13 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         _check_ranks(self, other)
-        return Word(_reduce(self.letters + other.letters), self.rank)
+        return _reduced(_reduce(self.letters + other.letters), self.rank)
 
     def __invert__(self) -> "Word":
-        return Word(tuple(-s for s in reversed(self.letters)), self.rank)
+        return _reduced(tuple(-s for s in reversed(self.letters)), self.rank)
 
     def prefix(self, length: int) -> "Word":
-        return Word(self.letters[:length], self.rank)
+        return _reduced(self.letters[:length], self.rank)
 
     @cached_property
     def fingerprint(self) -> int:
@@ -212,7 +212,7 @@ class CanonicalEdge:
 
     @cached_property
     def child(self) -> Word:
-        return Word(self.parent.letters + (self.step,), self.parent.rank)
+        return _reduced(self.parent.letters + (self.step,), self.parent.rank)
 
     @cached_property
     def fingerprint(self) -> int:
@@ -297,8 +297,10 @@ def ball_size(radius: int, rank: int) -> int:
 def _reduced(letters: tuple[int, ...], rank: int) -> Word:
     """A :class:`Word` from letters the caller has built freely reduced.
 
-    Skips the checks of ``Word.__post_init__``; only enumeration code that
-    never appends the inverse of the last letter may call it.
+    Skips the checks of ``Word.__post_init__``.  Only code whose letters are
+    valid and reduced by construction may call it: enumeration that never
+    appends the inverse of the last letter, and the group operations on
+    words that have already passed the checks.
     """
     w = object.__new__(Word)
     w.__dict__.update(letters=letters, rank=rank)

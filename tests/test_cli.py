@@ -50,6 +50,7 @@ class TestConfigValidation:
             ("seed", -1),
             ("workers", 0),
             ("method", "fast"),
+            ("method", "auto"),
         ],
     )
     def test_each_field_is_checked(self, field, value):
@@ -148,7 +149,8 @@ class TestFieldTable:
 
     @pytest.mark.parametrize(
         "flag,text,field",
-        [("--rank", "x", "rank"), ("--system", "brownian", "system"), ("--method", "fast", "method")],
+        [("--rank", "x", "rank"), ("--system", "brownian", "system"),
+         ("--method", "fast", "method"), ("--method", "auto", "method")],
     )
     def test_malformed_flag_is_a_config_error(self, capsys, flag, text, field):
         assert main(["decay", flag, text]) == 2

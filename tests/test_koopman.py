@@ -411,8 +411,7 @@ class TestDecaySweep:
             raise AssertionError("a coefficient was evaluated before the shell check")
 
         monkeypatch.setattr(koopman, "coefficient", refuse)
-        monkeypatch.setattr(koopman, "_length_coefficient", refuse)
-        for method in ("mc", "exact", "auto"):
+        for method in ("mc", "exact"):
             with pytest.raises(ValueError, match="length 11 has 236196 words"):
                 decay_sweep(OSYS, ProfileVector.gaussian(), 12, budget=MCBudget(10), method=method)
 
@@ -424,7 +423,7 @@ class TestDecaySweep:
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             decay_sweep(OSYS, ProfileVector.gaussian(), 3, method="bogus")
 
-    @pytest.mark.parametrize("cap,method", [(0, "auto"), (-3, "auto"), (0, "mc")])
+    @pytest.mark.parametrize("cap,method", [(0, "exact"), (-3, "exact"), (0, "mc")])
     def test_nonpositive_cap_rejected_before_any_shell(self, monkeypatch, cap, method):
         def refuse(*args, **kwargs):
             raise AssertionError("a shell was enumerated before the cap check")
@@ -441,28 +440,46 @@ class TestDecaySweep:
         if system.kind == "gaussian":
             profiles.append(ProfileVector.cauchy())
         for prof in profiles:
-            for method in ("auto", "exact"):
-                curve = decay_sweep(system, prof, 4, method=method)
-                words = [w for pt in curve.points for w in pt.words]
-                assert len(words) == sum(4 * 3 ** (L - 1) for L in range(1, 5))
-                for pt in curve.points:
-                    for word in pt.words:
-                        assert pt.estimate == coefficient(system, word, prof, prof, method=method)
+            curve = decay_sweep(system, prof, 4, method="exact")
+            words = [w for pt in curve.points for w in pt.words]
+            assert len(words) == sum(4 * 3 ** (L - 1) for L in range(1, 5))
+            for pt in curve.points:
+                for word in pt.words:
+                    assert pt.estimate == coefficient(system, word, prof, prof, method="exact")
 
-    @pytest.mark.parametrize("method", ["auto", "exact"])
-    def test_exact_sweep_evaluates_once_per_length(self, monkeypatch, method):
+    def test_exact_sweep_evaluates_once_per_length(self, monkeypatch):
         lengths = []
-        real = koopman._length_coefficient
+        real = koopman.coefficient
 
-        def counted(system, length, *args):
-            lengths.append(length)
-            return real(system, length, *args)
+        def counted(system, g, *args):
+            lengths.append(len(g))
+            return real(system, g, *args)
 
-        monkeypatch.setattr(koopman, "_length_coefficient", counted)
-        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method=method)
+        monkeypatch.setattr(koopman, "coefficient", counted)
+        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method="exact")
         assert lengths == [1, 2, 3, 4, 5, 6]
         assert len(curve.points) == 6
         assert [len(pt.words) for pt in curve.points] == [4 * 3 ** (L - 1) for L in range(1, 7)]
+
+    def test_gaussian_mc_sweep_estimates_once_per_shell(self, monkeypatch):
+        # Gaussian draws depend on a word only through its length, so one
+        # estimate covers the whole sampled shell
+        lengths = []
+        real = koopman._mc_estimate
+
+        def counted(system, g, *args):
+            lengths.append(len(g))
+            return real(system, g, *args)
+
+        monkeypatch.setattr(koopman, "_mc_estimate", counted)
+        prof, budget = ProfileVector.gaussian(), MCBudget(5_000, seed=3)
+        curve = decay_sweep(GSYS, prof, 3, 3, budget, method="mc")
+        assert lengths == [1, 2, 3]
+        assert [pt.radius for pt in curve.points] == [1, 2, 3]
+        assert [len(set(pt.words)) for pt in curve.points] == [3, 3, 3]
+        for pt in curve.points:
+            for word in pt.words:
+                assert pt.estimate == coefficient(GSYS, word, prof, prof, budget, "mc")
 
 
 class TestAlmostInvariantSweep:
@@ -566,14 +583,6 @@ class TestCsvEmission:
         assert lines[0] == "system,ball_radius,n,sup_defect,bound"
         assert len(lines) == 3
         assert lines[1].startswith("gaussian,3,10,")
-
-    def test_path_destination(self, tmp_path):
-        table = almost_invariant_sweep(OSYS, 2, [10])
-        dest = tmp_path / "sweep.csv"
-        emit_csv(table, dest)
-        text = dest.read_text()
-        assert text.startswith("system,ball_radius,n,sup_defect,bound\n")
-        assert text.endswith("\n")
 
     def test_unknown_object_rejected(self):
         with pytest.raises(TypeError):

@@ -104,6 +104,26 @@ class TestWordValidation:
         with pytest.raises(ValueError):
             Word((), 0)
 
+    def test_group_operations_skip_the_checks(self, monkeypatch):
+        # products, inverses, prefixes and edge children of checked words are
+        # reduced by construction, so they never go through the checks again
+        rng = random.Random(5)
+        pairs = [
+            (Word(random_letters(rng, rng.randint(0, 8), 2), 2),
+             Word(random_letters(rng, rng.randint(0, 8), 2), 2))
+            for _ in range(200)
+        ]
+        checks = []
+        monkeypatch.setattr(Word, "__post_init__", lambda word: checks.append(word))
+        for g, h in pairs:
+            assert (g * h).rank == (~g).rank == g.prefix(len(g) // 2).rank == 2
+            if h:
+                assert CanonicalEdge(h.prefix(len(h) - 1), h.letters[-1]).child == h
+        assert checks == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="not freely reduced"):
+            Word((1, -1), 2)
+
 
 class TestGroupStructure:
     def test_axioms_against_reference_multiplication(self):
