@@ -447,7 +447,8 @@ class TestDecaySweep:
                 for word in pt.words:
                     assert pt.estimate == coefficient(system, word, prof, prof, method="exact")
 
-    def test_exact_sweep_evaluates_once_per_length(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["exact"])
+    def test_exact_sweep_evaluates_once_per_length(self, monkeypatch, method):
         lengths = []
         real = koopman.coefficient
 
@@ -456,7 +457,7 @@ class TestDecaySweep:
             return real(system, g, *args)
 
         monkeypatch.setattr(koopman, "coefficient", counted)
-        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method="exact")
+        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 6, method=method)
         assert lengths == [1, 2, 3, 4, 5, 6]
         assert len(curve.points) == 6
         assert [len(pt.words) for pt in curve.points] == [4 * 3 ** (L - 1) for L in range(1, 7)]
