@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    treeskew decay     per-word coefficient decay over shells (CSV)
+    treeskew decay     coefficient decay over shells, one CSV row per word
     treeskew window    sup window defect over a ball vs certified bound (CSV)
     treeskew gram      Gram matrix of the Gaussian field on a ball (CSV)
     treeskew hs        projection-defect bench on random unitaries (CSV)

@@ -45,8 +45,10 @@ CSV schemas (all reals printed with 17 significant digits):
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
@@ -56,7 +58,7 @@ from .numerics import expected_excess
 from .orientation import cocycle_sampler, path_sum_law
 from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector, check_window_size
-from .words import Word, shell, shell_size, word_at
+from .words import Word, shell_labels, shell_size, word_at
 
 __all__ = [
     "UnsupportedProfileError",
@@ -250,6 +252,46 @@ def symmetric_difference_mc(
     return _mc_estimate(system, g, budget, lambda s: 2.0 * np.minimum(np.abs(s), width))
 
 
+@dataclass(frozen=True, eq=False)
+class _ShellWords(Sequence):
+    """The words at ``indices`` of :func:`treeskew.words.shell`'s order, built on access.
+
+    A sweep holds a shell as its indices: ``range(shell_size)`` for a whole
+    shell, a seeded sample for a capped one.  Items are unranked by
+    :func:`treeskew.words.word_at`; the view equals any sequence of the
+    same words in the same order.
+    """
+
+    length: int
+    rank: int
+    indices: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _ShellWords(self.length, self.rank, self.indices[i])
+        return word_at(self.length, self.rank, self.indices[i])
+
+    def __iter__(self):
+        return (word_at(self.length, self.rank, i) for i in self.indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def labels(self) -> list[str]:
+        """``str(w)`` of every word, with no :class:`Word` built for a whole shell."""
+        if self.indices == range(shell_size(self.length, self.rank)):
+            return shell_labels(self.length, self.rank)
+        return [str(w) for w in self]
+
+
 @dataclass(frozen=True)
 class DecayPoint:
     """One estimate of a decay sweep and the words of shell ``radius`` it covers.
@@ -258,17 +300,23 @@ class DecayPoint:
     quadrature values, and the Gaussian Monte Carlo draws, depend on a word
     only through its length, so such a point covers every sampled word of
     its shell; an orientation Monte Carlo point covers one word, estimated
-    from the draws on that word's own edges.
+    from the draws on that word's own edges.  A sweep's shell-wide
+    ``words`` is a view over the shell's indices that builds each
+    :class:`Word` only when it is read.
     """
 
     radius: int
-    words: tuple[Word, ...]
+    words: Sequence[Word]
     estimate: CoefficientEstimate
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """A decay sweep: its points in radius order, one CSV row per covered word."""
+    """A decay sweep: its points in radius order, one CSV row per covered word.
+
+    Words stay indices until they are read: :func:`emit_csv` prints a whole
+    shell's labels without building its words.
+    """
 
     system: SystemSpec
     profile: ProfileVector
@@ -279,13 +327,13 @@ _ENUMERATION_LIMIT = 100_000
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> tuple[Word, ...]:
+def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> _ShellWords:
     """The whole shell under the cap; otherwise a seeded sample of ``cap`` distinct indices."""
     size = shell_size(length, rank)
     if cap is None or size <= cap:
-        return tuple(shell(length, rank))
+        return _ShellWords(length, rank, range(size))
     indices = random.Random(f"shell:{seed}:{length}").sample(range(size), cap)
-    return tuple(word_at(length, rank, i) for i in indices)
+    return _ShellWords(length, rank, tuple(indices))
 
 
 def _check_sweep(
@@ -416,11 +464,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_fields(*fields) -> str:
+    """``fields`` as one CSV line, quoted as :func:`csv.writer` quotes them, unterminated."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 def emit_csv(obj: Union[DecayCurve, SweepTable], fh: TextIO) -> None:
     """Write a curve or sweep table as CSV to an open text file.
 
     Schemas are in the module docstring.  Output is byte-stable: fixed
-    header, fixed row order, reals at 17 significant digits.
+    header, fixed row order, reals at 17 significant digits.  A decay
+    point's leading fields (system, profile, radius) and trailing fields
+    (method, value, stderr, samples, seed) are formatted once, and its rows
+    go out as one ``fh.write`` around its word labels, which are letters,
+    digits, spaces, ``^`` and ``-`` and so never need quoting.
     """
     writer = csv.writer(fh, lineterminator="\n")
     if isinstance(obj, DecayCurve):
@@ -430,8 +489,13 @@ def emit_csv(obj: Union[DecayCurve, SweepTable], fh: TextIO) -> None:
         system, profile = obj.system.label(), obj.profile.label()
         for pt in obj.points:
             est = pt.estimate
-            tail = (est.method, _fmt(est.value), _fmt(est.stderr), est.samples, est.seed)
-            writer.writerows((system, profile, pt.radius, str(w), *tail) for w in pt.words)
+            head = _csv_fields(system, profile, pt.radius) + ","
+            tail = "," + _csv_fields(
+                est.method, _fmt(est.value), _fmt(est.stderr), est.samples, est.seed
+            ) + "\n"
+            words = pt.words
+            labels = words.labels() if isinstance(words, _ShellWords) else map(str, words)
+            fh.write("".join([f"{head}{label}{tail}" for label in labels]))
     elif isinstance(obj, SweepTable):
         writer.writerow(["system", "ball_radius", "n", "sup_defect", "bound"])
         system = obj.system.label()

@@ -35,6 +35,7 @@ __all__ = [
     "ball_size",
     "shell",
     "shell_size",
+    "shell_labels",
     "word_at",
     "ball_edges",
     "sample_word",
@@ -323,6 +324,30 @@ def shell(length: int, rank: int) -> list[Word]:
             if not letters or s != -letters[-1]
         ]
     return [_reduced(letters, rank) for letters in current]
+
+
+def shell_labels(length: int, rank: int) -> list[str]:
+    """``str(w)`` for every word of :func:`shell`, in the same order, built as strings.
+
+    Each label extends its parent's label by the letters that do not cancel
+    the parent's last letter, just as :func:`shell` extends its words, so no
+    :class:`Word` is built.  Above rank 26 a word prints as indexed tokens
+    and its label comes from ``str(w)``.
+    """
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if rank > 26:
+        return [str(w) for w in shell(length, rank)]
+    if length == 0:
+        return ["1"]
+    chars = [_LETTERS[s] for s in letter_order(rank)]
+    follows = {c: [d for d in chars if d != c.swapcase()] for c in chars}
+    current = chars
+    for _ in range(length - 1):
+        current = [label + c for label in current for c in follows[label[-1]]]
+    return current
 
 
 def shell_size(length: int, rank: int) -> int:

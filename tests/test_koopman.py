@@ -38,6 +38,25 @@ def w(text: str) -> Word:
     return parse_word(text, 2)
 
 
+@pytest.fixture
+def built_words(monkeypatch):
+    """The letters of every Word built, through either Word constructor."""
+    built = []
+    checked, reduced = Word.__post_init__, words_module._reduced
+
+    def counted_check(word):
+        built.append(word.letters)
+        checked(word)
+
+    def counted_reduced(letters, rank):
+        built.append(letters)
+        return reduced(letters, rank)
+
+    monkeypatch.setattr(Word, "__post_init__", counted_check)
+    monkeypatch.setattr(words_module, "_reduced", counted_reduced)
+    return built
+
+
 def binomial_mean(length: int, p: float, kernel) -> float:
     """``E[kernel(S)]`` by summing over the binomial law of the path sum ``S``."""
     return math.fsum(
@@ -381,26 +400,33 @@ class TestDecaySweep:
             assert all(len(word) == radius for word in words)
 
     @pytest.mark.parametrize("length,rank", [(5, 2), (4, 3)])
-    def test_capped_shell_builds_each_word_once(self, monkeypatch, length, rank):
+    def test_capped_shell_builds_each_word_once(self, built_words, length, rank):
         # a cap one below the shell size draws each sampled word once: no
         # redraws of words already held, through either Word constructor
-        built = []
-        checked, reduced = Word.__post_init__, words_module._reduced
-
-        def counted_check(word):
-            built.append(word.letters)
-            checked(word)
-
-        def counted_reduced(letters, rank):
-            built.append(letters)
-            return reduced(letters, rank)
-
-        monkeypatch.setattr(Word, "__post_init__", counted_check)
-        monkeypatch.setattr(words_module, "_reduced", counted_reduced)
         size = shell_size(length, rank)
         got = koopman._shell_words(length, rank, size - 1, seed=0)
-        assert len(got) == len(set(got)) == len(built) == size - 1
+        assert len(got) == len(set(got)) == len(built_words) == size - 1
         assert all(len(word) == length and word.rank == rank for word in got)
+
+    def test_exact_sweep_and_csv_build_one_word_per_point(self, built_words):
+        # shells are held as indices and enumerated ones print from their
+        # labels, so the only Word built is the one each coefficient call reads
+        curve = decay_sweep(OSYS, ProfileVector.gaussian(), 7, per_shell_cap=100_000)
+        buf = io.StringIO()
+        emit_csv(curve, buf)
+        assert buf.getvalue().count("\n") == 1 + sum(4 * 3 ** (L - 1) for L in range(1, 8))
+        assert len(curve.points) == 7
+        assert len(built_words) <= len(curve.points)
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_shell_view_reads_as_the_tuple_of_its_words(self, cap):
+        view = koopman._shell_words(3, 2, cap, seed=5)
+        words = tuple(view)
+        assert len(words) == (36 if cap is None else cap)
+        assert view == words and words == view and hash(view) == hash(words)
+        assert view != words[:-1] and view != words[::-1]
+        assert view[1:3] == words[1:3] and view[-1] == words[-1]
+        assert view.labels() == [str(v) for v in words]
 
     def test_huge_shell_needs_cap(self):
         with pytest.raises(ValueError, match="per_shell_cap"):
@@ -565,16 +591,18 @@ class TestCsvEmission:
     def test_float_round_trip_at_17_digits(self):
         import csv as csv_mod
 
-        curve = decay_sweep(GSYS, ProfileVector.cauchy(), 3, per_shell_cap=3)
-        buf = io.StringIO()
-        emit_csv(curve, buf)
-        buf.seek(0)
-        rows = list(csv_mod.DictReader(buf))
-        pairs = [(pt, w) for pt in curve.points for w in pt.words]
-        assert len(rows) == len(pairs)
-        for row, (pt, word) in zip(rows, pairs):
-            assert float(row["value"]) == pt.estimate.value
-            assert row["word"] == str(word)
+        # a sampled shell prints each word; an enumerated one prints its labels
+        for radius, cap in ((3, 3), (4, 100_000)):
+            curve = decay_sweep(GSYS, ProfileVector.cauchy(), radius, per_shell_cap=cap)
+            buf = io.StringIO()
+            emit_csv(curve, buf)
+            buf.seek(0)
+            rows = list(csv_mod.DictReader(buf))
+            pairs = [(pt, w) for pt in curve.points for w in pt.words]
+            assert len(rows) == len(pairs)
+            for row, (pt, word) in zip(rows, pairs):
+                assert float(row["value"]) == pt.estimate.value
+                assert row["word"] == str(word)
 
     def test_sweep_schema(self):
         table = almost_invariant_sweep(GSYS, 3, [10, 100])

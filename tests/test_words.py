@@ -16,6 +16,7 @@ from treeskew.words import (
     parse_word,
     sample_word,
     shell,
+    shell_labels,
     shell_size,
     word_at,
 )
@@ -333,6 +334,15 @@ class TestEnumeration:
                 word_at(length, rank, size)
         with pytest.raises(ValueError, match="outside the shell"):
             word_at(3, rank, -1)
+
+    @pytest.mark.parametrize("rank,max_length", [(1, 6), (2, 6), (3, 6), (27, 3)])
+    def test_shell_labels_print_the_shell(self, rank, max_length):
+        # labels are built as strings from their parents' labels; above
+        # rank 26 a word prints as indexed tokens
+        for length in range(max_length + 1):
+            assert shell_labels(length, rank) == [str(v) for v in shell(length, rank)]
+        with pytest.raises(ValueError, match="length"):
+            shell_labels(-1, rank)
 
     def test_ball_is_union_of_shells(self):
         words = ball(4, 2)
