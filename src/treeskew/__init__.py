@@ -18,13 +18,16 @@ module that defines it, whose ``__all__`` lists its public names:
 
 - :mod:`treeskew.words`: reduced words, geodesics, edges, balls and shells;
 - :mod:`treeskew.rng`: the keyed PRF behind every lazy edge value;
-- :mod:`treeskew.orientation`: orientations, the cocycle, the skew step
-  and the path-sum law;
-- :mod:`treeskew.gaussian`: the Gaussian system and its Gram matrix;
+- :mod:`treeskew.orientation`: orientations, the cocycle, the skew step,
+  the path-sum law, and ``OrientationMeasure``, the orientation system
+  with its shift law;
+- :mod:`treeskew.gaussian`: ``GaussianMeasure``, the Gaussian system's
+  shift law, and the Gram matrix of its marginals;
 - :mod:`treeskew.profiles`: profile vectors and their correlation kernels;
 - :mod:`treeskew.numerics`: adaptive quadrature and normal-law helpers;
 - :mod:`treeskew.parallel`: fixed sample blocks and their ordered reduction;
-- :mod:`treeskew.koopman`: coefficients, decay curves and window sweeps;
+- :mod:`treeskew.koopman`: coefficients, decay curves and window sweeps
+  over either system type;
 - :mod:`treeskew.hs`: the Hilbert-Schmidt projection-defect bench;
 - :mod:`treeskew.selftest` and :mod:`treeskew.cli`: the invariant suites
   and the command line.

@@ -34,16 +34,17 @@ from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, TextIO
 
 from . import hs as hs_bench
-from .gaussian import gram_matrix
+from .gaussian import GaussianMeasure, gram_matrix
 from .koopman import (
     MCBudget,
-    SystemSpec,
+    System,
     _check_sweep,
     _fmt,
     almost_invariant_sweep,
     decay_sweep,
     emit_csv,
 )
+from .orientation import OrientationMeasure
 from .profiles import ProfileVector, check_window_size
 from .selftest import KNOWN_FAULTS, run_selftest
 from .words import ball, ball_size
@@ -191,10 +192,10 @@ def parse_config(text: str, base: Optional[ExperimentConfig] = None) -> Experime
     return config
 
 
-def _system_spec(config: ExperimentConfig) -> SystemSpec:
+def _system_spec(config: ExperimentConfig) -> System:
     if config.system == "orientation":
-        return SystemSpec("orientation", p=config.p, rank=config.rank)
-    return SystemSpec("gaussian", rank=config.rank)
+        return OrientationMeasure(config.p, config.rank)
+    return GaussianMeasure(config.rank)
 
 
 @contextlib.contextmanager

@@ -24,26 +24,76 @@ The cauchy pair has no closed form here: ``gaussian_mean`` averages its
 kernel ``2 pi / (4 + x^2)`` by quadrature, and Monte Carlo is its
 cross-check.
 
-The window defect and the symmetric difference both reduce to the
-capped-shift mean ``E[min(|X|, w)] = sigma sqrt(2/pi) - 2 E[(X - w)+]``,
-which :mod:`treeskew.koopman` evaluates in that closed form.
+:class:`GaussianMeasure` is the Gaussian system that
+:mod:`treeskew.koopman` measures: the law ``N(0, |g|)`` of one shift.  It
+owns the exact kernel means at ``sigma = sqrt(|g|)``, the capped-shift
+mean ``E[min(|X|, w)] = sigma sqrt(2/pi) - 2 E[(X - w)+]`` to which the
+window defect and the symmetric difference both reduce, its a priori
+bound and the Monte Carlo draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .numerics import check_interval, gaussian_expectation, interval_overlap
+from .numerics import check_interval, expected_excess, gaussian_expectation, interval_overlap
+from .profiles import ProfileVector
 from .words import Word
 
 __all__ = [
+    "GaussianMeasure",
     "GaussianSystem",
     "gram_matrix",
     "interval_overlap_by_quadrature",
 ]
+
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+@dataclass(frozen=True)
+class GaussianMeasure:
+    """The Gaussian system's shift law: the shift of ``g`` is ``N(0, |g|)``."""
+
+    rank: int = 2
+    # Monte Carlo draws depend on a word only through its length.
+    draws_read_edges: ClassVar[bool] = False
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+
+    def label(self) -> str:
+        return "gaussian"
+
+    def check_support(self, xi: ProfileVector, eta: ProfileVector) -> None:
+        """Reject a profile pair that has no correlation rule."""
+        xi._pair_kind(eta)
+
+    def kernel_mean(self, xi: ProfileVector, eta: ProfileVector, length: int) -> tuple[float, str]:
+        """:meth:`ProfileVector.gaussian_mean` at ``sigma = sqrt(length)``, with its method."""
+        return xi.gaussian_mean(eta, math.sqrt(length))
+
+    def capped_shift_mean(self, length: int, width: float) -> float:
+        """``E[min(|X|, width)]`` for ``X ~ N(0, length)``.
+
+        It is ``sigma sqrt(2/pi) - 2 E[(X - width)+]`` with ``sigma = sqrt(length)``.
+        """
+        sigma = math.sqrt(length)
+        return sigma * _SQRT_2_OVER_PI - 2.0 * expected_excess(width, sigma)
+
+    def shift_bound(self, radius: int) -> float:
+        """``E|X| = sigma sqrt(2/pi)`` at the ball's largest ``sigma = sqrt(radius)``."""
+        return math.sqrt(radius) * _SQRT_2_OVER_PI
+
+    def sampler(self, g: Word, seed: int) -> Callable[[int, int], np.ndarray]:
+        """``sqrt(|g|)`` times one sequential ``PCG64(seed)`` normal stream, read in block order."""
+        rng, sigma = np.random.Generator(np.random.PCG64(seed)), math.sqrt(len(g))
+        return lambda lo, hi: sigma * rng.standard_normal(hi - lo)
+
 
 @dataclass
 class GaussianSystem:

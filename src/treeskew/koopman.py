@@ -22,19 +22,23 @@ that mean at ``w = 2n``, divided by ``2n``; the symmetric difference
 ``w = |I|``.  Both are computed directly, with no subtraction of nearly
 equal terms.
 
-Exact routes come first: the orientation system averages the profile
-correlation against the binomial path-sum law, and the Gaussian system
-uses the erf/quadrature closed forms.  Monte Carlo is the independent
-cross-check, driven by the actual skew machinery (orientation seeds
-through the edge PRF, Gaussian shifts ``sqrt(|g|) * N(0, 1)`` from one
-``PCG64(seed)`` stream), streamed in fixed-size blocks
-(:mod:`treeskew.parallel`) so that memory stays bounded and results are
-bit-identical for a fixed seed.
+A system is the law of its shift, and each owns its rules:
+:class:`treeskew.orientation.OrientationMeasure` (the binomial path-sum
+law, with draws from the edge PRF) and
+:class:`treeskew.gaussian.GaussianMeasure` (``N(0, |g|)``, with the
+erf/quadrature closed forms and one ``PCG64(seed)`` normal stream).  Each
+supplies the profile pairs it supports, the exact kernel mean and the
+capped-shift mean of a length-L shift, an a priori bound on ``E|S|`` over
+a ball, and Monte Carlo draws.  This module holds only the measurement
+protocol: exact routes come first, and Monte Carlo is the independent
+cross-check, streamed in fixed-size blocks (:mod:`treeskew.parallel`) so
+that memory stays bounded and results are bit-identical for a fixed seed.
 
 A decay point covers the words that share one computation: a whole
-sampled shell for the exact and quadrature routes and for Gaussian Monte
-Carlo, whose draws depend on a word only through its length, and a single
-word for orientation Monte Carlo, whose draws read that word's own edges.
+sampled shell for the exact and quadrature routes, and for Monte Carlo on
+a system whose draws depend on a word only through its length; a single
+word for Monte Carlo on a system whose draws read the word's own edges
+(``draws_read_edges``).
 
 CSV schemas (all reals printed with 17 significant digits):
 
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -54,17 +57,15 @@ from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .numerics import expected_excess
-from .orientation import cocycle_sampler, path_sum_law
+from .gaussian import GaussianMeasure
+from .orientation import OrientationMeasure
 from .parallel import block_moments, map_blocks, mean_stderr
-from .profiles import ProfileVector, check_window_size
+from .profiles import ProfileVector, UnsupportedProfileError, check_window_size
 from .words import Word, shell_labels, shell_size, word_at
 
 __all__ = [
     "UnsupportedProfileError",
-    "SystemSpec",
-    "orientation_system",
-    "gaussian_system",
+    "System",
     "MCBudget",
     "CoefficientEstimate",
     "coefficient",
@@ -80,41 +81,8 @@ __all__ = [
 ]
 
 
-class UnsupportedProfileError(ValueError):
-    """Raised for (system, profile) pairs without an evaluation rule."""
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Which skew product to measure: ``orientation`` (needs p) or ``gaussian``."""
-
-    kind: str
-    p: Optional[float] = None
-    rank: int = 2
-
-    def __post_init__(self):
-        if self.kind not in ("orientation", "gaussian"):
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.kind == "orientation":
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError(f"orientation system needs p in (0, 1), got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError("gaussian system takes no p")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-
-    def label(self) -> str:
-        if self.kind == "orientation":
-            return f"orientation(p={self.p!r})"
-        return "gaussian"
-
-
-def orientation_system(p: float = 0.7, rank: int = 2) -> SystemSpec:
-    return SystemSpec("orientation", p=p, rank=rank)
-
-
-def gaussian_system(rank: int = 2) -> SystemSpec:
-    return SystemSpec("gaussian", rank=rank)
+# The skew product to measure, given by the law of its shift.
+System = Union[OrientationMeasure, GaussianMeasure]
 
 
 @dataclass(frozen=True)
@@ -155,39 +123,21 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _check_rank(system: SystemSpec, g: Word) -> None:
+def _check_rank(system: System, g: Word) -> None:
     if g.rank != system.rank:
         raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
 
 
-def _check_support(system: SystemSpec, xi: ProfileVector, eta: ProfileVector) -> None:
-    """Reject a profile pair that has no evaluation rule, before any work is done."""
-    if system.kind == "orientation" and "cauchy" in (xi.kind, eta.kind):
-        raise UnsupportedProfileError(
-            "the orientation system supports window, indicator and gaussian profiles only"
-        )
-    xi._pair_kind(eta)
-
-
-def _mc_estimate(system: SystemSpec, g: Word, budget: Optional[MCBudget], kernel):
-    """Monte Carlo mean of ``kernel(shift)`` over the skew shifts of ``g``.
-
-    Orientation draws come from the edge PRF.  The Gaussian shift of ``g``
-    is ``N(0, |g|)``, drawn as ``sqrt(|g|)`` times one sequential
-    ``PCG64(seed)`` normal stream, read in block order.
-    """
+def _mc_estimate(system: System, g: Word, budget: Optional[MCBudget], kernel):
+    """Monte Carlo mean of ``kernel(shift)`` over the system's draws of the shift of ``g``."""
     budget = budget or MCBudget()
-    if system.kind == "orientation":
-        draws = cocycle_sampler(g, system.p, budget.seed)
-    else:
-        rng, sigma = np.random.Generator(np.random.PCG64(budget.seed)), math.sqrt(len(g))
-        draws = lambda lo, hi: sigma * rng.standard_normal(hi - lo)
+    draws = system.sampler(g, budget.seed)
     parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples)
     return CoefficientEstimate(*mean_stderr(parts), "monte-carlo", budget.samples, budget.seed)
 
 
 def coefficient(
-    system: SystemSpec,
+    system: System,
     g: Word,
     xi: ProfileVector,
     eta: ProfileVector,
@@ -197,29 +147,26 @@ def coefficient(
     """Matrix coefficient ``<pi(g) xi, eta>`` of the chosen system.
 
     ``method="exact"`` averages the profile correlation against the law of
-    the shift: the binomial path-sum law for the orientation system, the
-    erf/quadrature closed forms at ``sigma = sqrt(|g|)`` for the Gaussian
-    one.  In both systems the shift is a sum over the outward geodesic, so
-    this value depends on ``g`` only through its length.  ``method="mc"``
+    the shift (the system's ``kernel_mean``): the binomial path-sum law for
+    the orientation system, the erf/quadrature closed forms at
+    ``sigma = sqrt(|g|)`` for the Gaussian one.  In both systems the shift
+    is a sum over the outward geodesic, so this value depends on ``g`` only
+    through its length.  ``method="mc"``
     takes the Monte Carlo route with the given budget.  The value is always
     bounded by ``xi.norm() * eta.norm()`` because the correlation kernel is
     pointwise bounded by it.
     """
     _check_rank(system, g)
     _check_method(method)
-    _check_support(system, xi, eta)
+    system.check_support(xi, eta)
     if method == "mc":
         return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
     seed = budget.seed if budget is not None else 0
-    if system.kind == "orientation":
-        law = path_sum_law(len(g), system.p)
-        value = law.expectation(lambda s: xi.correlation(eta, float(s)))
-        return CoefficientEstimate(value, 0.0, "exact", 0, seed)
-    value, how = xi.gaussian_mean(eta, math.sqrt(len(g)))
+    value, how = system.kernel_mean(xi, eta, len(g))
     return CoefficientEstimate(value, 0.0, how, 0, seed)
 
 
-def symmetric_difference(system: SystemSpec, g: Word, a: ProfileVector) -> float:
+def symmetric_difference(system: System, g: Word, a: ProfileVector) -> float:
     """Measure of ``beta_g(A) symmetric-difference A`` for a strip set A.
 
     ``A`` is the product of the base space with the profile's interval
@@ -229,16 +176,16 @@ def symmetric_difference(system: SystemSpec, g: Word, a: ProfileVector) -> float
 
         nu(beta_g A  delta  A) = 2 E[min(|S_g|, hi - lo)],
 
-    the capped-shift mean of :func:`_capped_shift_mean`, evaluated exactly
-    with no subtraction of nearly equal terms.
+    the system's capped-shift mean, evaluated exactly with no subtraction of
+    nearly equal terms.
     """
     _check_rank(system, g)
     lo, hi = a.support_interval()
-    return 2.0 * _capped_shift_mean(system, len(g), hi - lo)
+    return 2.0 * system.capped_shift_mean(len(g), hi - lo)
 
 
 def symmetric_difference_mc(
-    system: SystemSpec, g: Word, a: ProfileVector, budget: Optional[MCBudget] = None
+    system: System, g: Word, a: ProfileVector, budget: Optional[MCBudget] = None
 ) -> CoefficientEstimate:
     """Direct Monte Carlo of the symmetric-difference measure.
 
@@ -318,13 +265,12 @@ class DecayCurve:
     shell's labels without building its words.
     """
 
-    system: SystemSpec
+    system: System
     profile: ProfileVector
     points: tuple[DecayPoint, ...]
 
 
 _ENUMERATION_LIMIT = 100_000
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> _ShellWords:
@@ -337,7 +283,7 @@ def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> _Shel
 
 
 def _check_sweep(
-    system: SystemSpec,
+    system: System,
     profile: ProfileVector,
     max_radius: int,
     per_shell_cap: Optional[int],
@@ -349,7 +295,7 @@ def _check_sweep(
     if per_shell_cap is not None and per_shell_cap < 1:
         raise ValueError(f"per_shell_cap must be >= 1, got {per_shell_cap}")
     _check_method(method)
-    _check_support(system, profile, profile)
+    system.check_support(profile, profile)
     for length in range(1, max_radius + 1):
         size = shell_size(length, system.rank)
         evaluated = size if per_shell_cap is None else min(per_shell_cap, size)
@@ -361,7 +307,7 @@ def _check_sweep(
 
 
 def decay_sweep(
-    system: SystemSpec,
+    system: System,
     profile: ProfileVector,
     max_radius: int,
     per_shell_cap: Optional[int] = None,
@@ -373,16 +319,16 @@ def decay_sweep(
     Shells are enumerated exhaustively when they fit under the cap and
     sampled uniformly (seeded, without replacement) otherwise.  Each point
     is one :func:`coefficient` call for the words that share its draws.
-    The exact and quadrature routes and the Gaussian Monte Carlo route see
-    a word only through its length, so they hold one point per shell.  The
-    orientation Monte Carlo route reads each word's own edges and holds one
-    point per word; there the spread within a shell is a real check: any
-    spread beyond the noise would reveal a dependence on word shape beyond
-    length.
+    The exact and quadrature routes see a word only through its length, and
+    so does Monte Carlo on the Gaussian system, so they hold one point per
+    shell.  Monte Carlo on a system whose draws read each word's own edges
+    (the orientation system) holds one point per word; there the spread
+    within a shell is a real check: any spread beyond the noise would
+    reveal a dependence on word shape beyond length.
     """
     _check_sweep(system, profile, max_radius, per_shell_cap, method)
     seed = budget.seed if budget is not None else 0
-    per_word = method == "mc" and system.kind == "orientation"
+    per_word = method == "mc" and system.draws_read_edges
     points = []
     for length in range(1, max_radius + 1):
         words = _shell_words(length, system.rank, per_shell_cap, seed)
@@ -403,60 +349,40 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    system: SystemSpec
+    system: System
     ball_radius: int
     rows: tuple[SweepRow, ...]
 
 
-def _capped_shift_mean(system: SystemSpec, length: int, width: float) -> float:
-    """``E[min(|S|, width)]`` for the shift ``S`` of a word of length ``length``.
-
-    The binomial path-sum expectation for the orientation system, and
-    ``sigma sqrt(2/pi) - 2 E[(X - width)+]`` with ``sigma = sqrt(L)`` for the
-    Gaussian one.  Both the window defect and the symmetric difference are
-    this mean, computed directly: subtracting a coefficient close to 1 from
-    1, or an overlap from the set's measure, would cancel most of its digits
-    instead.
-    """
-    if system.kind == "orientation":
-        law = path_sum_law(length, system.p)
-        return law.expectation(lambda s: min(abs(s), width))
-    sigma = math.sqrt(length)
-    return sigma * _SQRT_2_OVER_PI - 2.0 * expected_excess(width, sigma)
-
-
 def almost_invariant_sweep(
-    system: SystemSpec, ball_radius: int, window_sizes: Iterable[int]
+    system: System, ball_radius: int, window_sizes: Iterable[int]
 ) -> SweepTable:
     """Sup over the ball of the window defect ``1 - <pi(g) xi_n, xi_n>``.
 
     Window coefficients depend on a word only through its length in both
     systems, so the sup over ``ball(R)`` is the max over lengths
-    ``0..R``.  The bound column is the certified a priori rate:
-    ``R / (2n)`` for the orientation system and
-    ``sqrt(R) sqrt(2/pi) / (2n)`` for the Gaussian one.  The defect is the
-    capped-shift mean ``E[min(|S|, 2n)] / (2n)``, computed directly (see
-    :func:`_capped_shift_mean`), so ``sup_defect <= bound`` holds in
-    floating point with no slack; for the Gaussian system it holds by
-    construction, since the defect subtracts a nonnegative excess from the
-    bound's own numerator.
+    ``0..R``.  The bound column is the certified a priori rate: the
+    system's bound on ``E|S|`` over the ball, ``R`` for the orientation
+    system and ``sqrt(R) sqrt(2/pi)`` for the Gaussian one, over ``2n``.
+    The defect is the capped-shift mean ``E[min(|S|, 2n)] / (2n)``, computed
+    directly: subtracting a coefficient close to 1 from 1 would cancel most
+    of its digits instead.  So ``sup_defect <= bound`` holds in floating
+    point with no slack; for the Gaussian system it holds by construction,
+    since the defect subtracts a nonnegative excess from the bound's own
+    numerator.  Window sizes must be integers; no size is truncated.
     """
     if ball_radius < 0:
         raise ValueError(f"ball_radius must be >= 0, got {ball_radius}")
-    sizes = [check_window_size(int(n)) for n in window_sizes]
+    sizes = [check_window_size(n) for n in window_sizes]
     if not sizes:
         raise ValueError("at least one window size is required")
     rows = []
     for n in sizes:
         width = 2.0 * n
         defect = max(
-            _capped_shift_mean(system, length, width) / width for length in range(ball_radius + 1)
+            system.capped_shift_mean(length, width) / width for length in range(ball_radius + 1)
         )
-        if system.kind == "orientation":
-            bound = ball_radius / width
-        else:
-            bound = math.sqrt(ball_radius) * _SQRT_2_OVER_PI / width
-        rows.append(SweepRow(n, defect, bound))
+        rows.append(SweepRow(n, defect, system.shift_bound(ball_radius) / width))
     return SweepTable(system, ball_radius, tuple(rows))
 
 

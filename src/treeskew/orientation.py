@@ -19,17 +19,22 @@ along the geodesic from the base vertex to its translate.  Along such an
 outward geodesic every travel flag is ``+1``, which is why the cocycle of
 a length-L word has the exact binomial law provided by
 :func:`path_sum_law`.
+
+:class:`OrientationMeasure` is also the orientation system that
+:mod:`treeskew.koopman` measures: it owns the shift law's exact kernel
+mean, capped-shift mean, a priori bound and Monte Carlo draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, ClassVar, Mapping, Optional
 
 import numpy as np
 
 from .parallel import map_blocks
+from .profiles import ProfileVector, UnsupportedProfileError
 from .rng import prf_bits, prf_uniform, sample_seeds_array
 from .words import CanonicalEdge, GeodesicPath, Word, act_on_edge, geodesic
 
@@ -59,10 +64,16 @@ class OrientationMeasure:
     to ``g``, so under ``g_* mu`` those edges point toward the base vertex
     with probability ``1 - p``.  At ``p != 1/2`` the action is therefore
     only nonsingular, not measure-preserving.
+
+    As a system it owns its shift law: the shift of a length-L word is the
+    binomial path sum of :func:`path_sum_law`, and Monte Carlo draws read
+    the word's own edges through :func:`cocycle_sampler`.
     """
 
     p: float
     rank: int = 2
+    # Monte Carlo draws read a word's own edges, so each word is estimated apart.
+    draws_read_edges: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -73,6 +84,34 @@ class OrientationMeasure:
     @property
     def basepoint(self) -> Word:
         return Word.identity(self.rank)
+
+    def label(self) -> str:
+        return f"orientation(p={self.p!r})"
+
+    def check_support(self, xi: ProfileVector, eta: ProfileVector) -> None:
+        """Reject a profile pair that has no evaluation rule on this system."""
+        if "cauchy" in (xi.kind, eta.kind):
+            raise UnsupportedProfileError(
+                "the orientation system supports window, indicator and gaussian profiles only"
+            )
+        xi._pair_kind(eta)
+
+    def kernel_mean(self, xi: ProfileVector, eta: ProfileVector, length: int) -> tuple[float, str]:
+        """``E[K(S)]`` of the pair's correlation kernel over the path-sum law, and ``exact``."""
+        law = path_sum_law(length, self.p)
+        return law.expectation(lambda s: xi.correlation(eta, float(s))), "exact"
+
+    def capped_shift_mean(self, length: int, width: float) -> float:
+        """``E[min(|S|, width)]`` over the path-sum law of a length-``length`` word."""
+        return path_sum_law(length, self.p).expectation(lambda s: min(abs(s), width))
+
+    def shift_bound(self, radius: int) -> float:
+        """A bound on ``E|S|`` over the ball of ``radius``: ``|S| <= |g| <= radius``."""
+        return float(radius)
+
+    def sampler(self, g: Word, seed: int) -> Callable[[int, int], np.ndarray]:
+        """Draws of the shift of ``g``: :func:`cocycle_sampler` on its edges."""
+        return cocycle_sampler(g, self.p, seed)
 
 
 class Orientation:

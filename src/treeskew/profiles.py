@@ -22,6 +22,7 @@ the cauchy correlation kernel is the closed form ``2 pi / (4 + s^2)``;
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -39,6 +40,7 @@ from .numerics import (
 
 __all__ = [
     "ProfileVector",
+    "UnsupportedProfileError",
     "cauchy_kernel",
     "cauchy_kernel_by_quadrature",
     "cauchy_norm_sq",
@@ -54,9 +56,15 @@ _KINDS = ("window", "indicator", "gaussian", "cauchy")
 _MAX_WINDOW = math.isqrt(int(sys.float_info.max))
 
 
+class UnsupportedProfileError(ValueError):
+    """Raised for (system, profile) pairs without an evaluation rule."""
+
+
 def check_window_size(n) -> int:
-    """Return ``n`` if it is a window size that float arithmetic can carry."""
-    if n is None or not 1 <= n <= _MAX_WINDOW:
+    """Return ``n`` if it is an integer window size that float arithmetic can carry."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"window size must be an integer, got {n!r}")
+    if not 1 <= n <= _MAX_WINDOW:
         raise ValueError(f"window size must lie in [1, {_MAX_WINDOW:.3g}], got {n!r}")
     return n
 

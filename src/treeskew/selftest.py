@@ -28,14 +28,12 @@ from typing import Callable
 import numpy as np
 
 from . import hs
-from .gaussian import gram_matrix, interval_overlap_by_quadrature
+from .gaussian import GaussianMeasure, gram_matrix, interval_overlap_by_quadrature
 from .koopman import (
     MCBudget,
     almost_invariant_sweep,
     coefficient,
     decay_sweep,
-    gaussian_system,
-    orientation_system,
     symmetric_difference,
     symmetric_difference_mc,
 )
@@ -117,7 +115,7 @@ def window_exact_vs_mc(configs: int, samples: int) -> Check:
     for i in range(configs):
         g = _word(rng, 10, min_len=1)
         n = rng.randint(1, 50)
-        system = orientation_system(round(rng.uniform(0.1, 0.9), 3))
+        system = OrientationMeasure(round(rng.uniform(0.1, 0.9), 3))
         win = ProfileVector.window(n)
         exact = coefficient(system, g, win, win, method="exact").value
         est = coefficient(system, g, win, win, budget=MCBudget(samples, seed=i), method="mc")
@@ -136,7 +134,7 @@ def gaussian_profile_decay() -> Check:
     prof = ProfileVector.gaussian()
 
     def value(length: int, p: float) -> float:
-        return coefficient(orientation_system(p), Word((1,) * length, 2), prof, prof).value
+        return coefficient(OrientationMeasure(p), Word((1,) * length, 2), prof, prof).value
 
     values = [value(length, 0.7) for length in range(1, 21)]
     driftless = value(20, 0.5)
@@ -230,7 +228,7 @@ def symmetric_difference_identity(configs: int, samples: int) -> Check:
     """``nu(beta_g A delta A) = 2 E[min(|S_g|, |I|)]`` for a strip ``A``, vs direct Monte Carlo."""
     rng = random.Random(1010)
     a, w1 = parse_word("a", 2), ProfileVector.window(1)
-    ok = symmetric_difference(orientation_system(0.7), a, w1) == 2.0
+    ok = symmetric_difference(OrientationMeasure(0.7), a, w1) == 2.0
     worst_z = 0.0
     for i in range(configs):
         g = _word(rng, 6, min_len=1)
@@ -240,9 +238,9 @@ def symmetric_difference_identity(configs: int, samples: int) -> Check:
             lo = rng.uniform(-3.0, 1.0)
             profile = ProfileVector.indicator(lo, lo + rng.uniform(0.5, 4.0))
         if i % 2 == 0:
-            system = orientation_system(round(rng.uniform(0.2, 0.8), 3))
+            system = OrientationMeasure(round(rng.uniform(0.2, 0.8), 3))
         else:
-            system = gaussian_system()
+            system = GaussianMeasure()
         exact = symmetric_difference(system, g, profile)
         mc = symmetric_difference_mc(system, g, profile, MCBudget(samples, seed=i))
         ok = ok and abs(exact - mc.value) <= _Z_LIMIT * mc.stderr + 1e-12
@@ -259,12 +257,14 @@ def coefficient_exact_vs_mc(trials: int, samples: int) -> Check:
     rng = random.Random(4404)
     ok, worst_z = True, 0.0
     for trial in range(trials):
-        system = orientation_system(0.7) if trial % 2 == 0 else gaussian_system()
+        system = OrientationMeasure(0.7) if trial % 2 == 0 else GaussianMeasure()
         g = _word(rng, 5, min_len=1)
-        if trial % 3 or system.kind == "orientation":
-            profile = ProfileVector.window(rng.randint(1, 6))
-        else:
+        # every third Gaussian (odd) trial takes the cauchy pair, which the
+        # orientation system rejects
+        if trial % 6 == 3:
             profile = ProfileVector.cauchy()
+        else:
+            profile = ProfileVector.window(rng.randint(1, 6))
         exact = coefficient(system, g, profile, profile).value
         mc = coefficient(system, g, profile, profile, MCBudget(samples, seed=trial), method="mc")
         ok = ok and abs(exact - mc.value) <= _Z_LIMIT * mc.stderr + 1e-12
@@ -285,7 +285,7 @@ def interval_overlap_routes(count: int) -> Check:
         a, c = rng.uniform(-3.0, 1.0), rng.uniform(-3.0, 1.0)
         first, second = (a, a + rng.uniform(0.5, 4.0)), (c, c + rng.uniform(0.5, 4.0))
         closed = coefficient(
-            gaussian_system(), g, ProfileVector.indicator(*first), ProfileVector.indicator(*second)
+            GaussianMeasure(), g, ProfileVector.indicator(*first), ProfileVector.indicator(*second)
         ).value
         quad = interval_overlap_by_quadrature(math.sqrt(len(g)), first, second)
         worst = max(worst, abs(closed - quad))
@@ -317,7 +317,7 @@ def certified_window_bound(radius: int) -> Check:
     """Window defects stay under their certified bound; gaussian-profile sweeps decay."""
     ok, worst = True, 0.0
     gauss = ProfileVector.gaussian()
-    for system in (orientation_system(0.7), gaussian_system()):
+    for system in (OrientationMeasure(0.7), GaussianMeasure()):
         for row in almost_invariant_sweep(system, radius, [10, 100, 1000, 10**7]).rows:
             ok = ok and 0.0 < row.sup_defect <= row.bound
             worst = max(worst, row.sup_defect / row.bound)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import gromov_products, random_letters
-from treeskew.gaussian import gram_matrix, interval_overlap_by_quadrature
-from treeskew.koopman import coefficient, gaussian_system
-from treeskew.numerics import gaussian_expectation, normal_pdf
+from treeskew.gaussian import GaussianMeasure, gram_matrix, interval_overlap_by_quadrature
+from treeskew.koopman import coefficient
+from treeskew.numerics import expected_excess, gaussian_expectation, normal_pdf
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, ball, parse_word
 
-GSYS = gaussian_system()
+GSYS = GaussianMeasure()
 
 
 def w(text: str) -> Word:
@@ -150,6 +150,17 @@ class TestGaussianShiftLaw:
         prof = ProfileVector.gaussian()
         by_density = gaussian_expectation(lambda x: prof.correlation(prof, x), 2.0)
         assert skew_coefficient(w("abab"), prof) == pytest.approx(by_density, abs=1e-10)
+
+    def test_shift_law_rules(self):
+        # N(0, L): closed forms at sigma = sqrt(L), one normal stream scaled by sigma
+        sigma, root = 2.0, math.sqrt(2.0 / math.pi)
+        prof = ProfileVector.cauchy()
+        assert GSYS.kernel_mean(prof, prof, 4) == prof.gaussian_mean(prof, sigma)
+        assert GSYS.capped_shift_mean(4, 3.0) == sigma * root - 2.0 * expected_excess(3.0, sigma)
+        assert GSYS.shift_bound(4) == sigma * root
+        assert not GSYS.draws_read_edges
+        stream = np.random.Generator(np.random.PCG64(6)).standard_normal(300)
+        assert GSYS.sampler(w("BABA"), 6)(0, 300).tolist() == (sigma * stream).tolist()
 
     def test_degenerate_density_rejected(self):
         # the length-0 law is a point mass at 0, and sigma < 0 is no law at all

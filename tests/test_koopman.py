@@ -11,27 +11,26 @@ import pytest
 from conftest import random_letters
 from treeskew import koopman, words as words_module
 from treeskew.cli import main as cli_main
+from treeskew.gaussian import GaussianMeasure
 from treeskew.koopman import (
     CoefficientEstimate,
     MCBudget,
-    SystemSpec,
     UnsupportedProfileError,
     almost_invariant_sweep,
     coefficient,
     decay_sweep,
     emit_csv,
-    gaussian_system,
-    orientation_system,
     symmetric_difference,
     symmetric_difference_mc,
 )
-from treeskew.orientation import cocycle_sampler
+from treeskew.numerics import gaussian_expectation
+from treeskew.orientation import OrientationMeasure, cocycle_sampler
 from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, parse_word, shell_size
 
-OSYS = orientation_system(0.7)
-GSYS = gaussian_system()
+OSYS = OrientationMeasure(0.7)
+GSYS = GaussianMeasure()
 
 
 def w(text: str) -> Word:
@@ -65,20 +64,34 @@ def binomial_mean(length: int, p: float, kernel) -> float:
     )
 
 
-class TestSystemSpec:
+def shift_mean(system, length: int, kernel, knots=()) -> float:
+    """``E[kernel(S)]`` for the shift of a length-``length`` word, apart from the system's code.
+
+    The binomial sum for the orientation system; quadrature against
+    ``N(0, length)`` for the Gaussian one, split at the kernel's kinks.
+    """
+    if isinstance(system, OrientationMeasure):
+        return binomial_mean(length, system.p, kernel)
+    return gaussian_expectation(kernel, math.sqrt(length), breakpoints=knots)
+
+
+class TestTypes:
     def test_labels(self):
         assert OSYS.label() == "orientation(p=0.7)"
+        assert OrientationMeasure(0.25, rank=3).label() == "orientation(p=0.25)"
         assert GSYS.label() == "gaussian"
 
     def test_validation(self):
+        with pytest.raises(TypeError):
+            OrientationMeasure()
         with pytest.raises(ValueError):
-            SystemSpec("brownian")
-        with pytest.raises(ValueError):
-            SystemSpec("orientation")
-        with pytest.raises(ValueError):
-            SystemSpec("orientation", p=1.2)
-        with pytest.raises(ValueError, match="no p"):
-            SystemSpec("gaussian", p=0.5)
+            OrientationMeasure(1.2)
+        with pytest.raises(ValueError, match="rank"):
+            OrientationMeasure(0.7, rank=0)
+        with pytest.raises(ValueError, match="rank"):
+            GaussianMeasure(0)
+        with pytest.raises(TypeError):
+            GaussianMeasure(p=0.5)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -90,6 +103,33 @@ class TestSystemSpec:
         with pytest.raises(ValueError):
             CoefficientEstimate(1.0, -0.1, "exact", 0, 0)
 
+    @pytest.mark.parametrize("system", [OSYS, GSYS], ids=["orientation", "gaussian"])
+    def test_every_route_against_the_shift_law(self, system):
+        # each route of this module, on the system types themselves, against
+        # E[kernel(S)] computed here from the shift law alone (quadrature
+        # for the Gaussian one, hence the 1e-9)
+        win, g = ProfileVector.window(3), w("abA")
+        overlap = lambda s: max(6 - abs(s), 0) / 6
+        capped = lambda s: min(abs(s), 6)
+        knots = (-6.0, 0.0, 6.0)
+        want = shift_mean(system, 3, overlap, knots)
+        assert coefficient(system, g, win, win).value == pytest.approx(want, abs=1e-9)
+        mc = coefficient(system, g, win, win, MCBudget(40_000, 1), method="mc")
+        assert mc.method == "monte-carlo" and abs(mc.value - want) <= 5.0 * mc.stderr
+        curve = decay_sweep(system, win, 3, method="exact")
+        assert [pt.radius for pt in curve.points] == [1, 2, 3]
+        for pt in curve.points:
+            assert pt.estimate.value == pytest.approx(
+                shift_mean(system, pt.radius, overlap, knots), abs=1e-9
+            )
+        row, = almost_invariant_sweep(system, 3, [3]).rows
+        defect = max(shift_mean(system, L, capped, knots) for L in range(4)) / 6
+        assert row.sup_defect == pytest.approx(defect, abs=1e-9)
+        sym = symmetric_difference(system, g, win)
+        assert sym == pytest.approx(2.0 * shift_mean(system, 3, capped, knots), abs=1e-9)
+        sym_mc = symmetric_difference_mc(system, g, win, MCBudget(40_000, 2))
+        assert abs(sym_mc.value - sym) <= 5.0 * sym_mc.stderr
+
 
 class TestExactRouting:
     def test_identity_word(self):
@@ -100,7 +140,7 @@ class TestExactRouting:
     def test_single_letter_window_is_half(self):
         win = ProfileVector.window(1)
         for p in (0.3, 0.5, 0.7):
-            est = coefficient(orientation_system(p), w("a"), win, win)
+            est = coefficient(OrientationMeasure(p), w("a"), win, win)
             assert est.value == 0.5
             assert est.method == "exact"
             assert est.stderr == 0.0
@@ -215,7 +255,7 @@ class TestMonteCarlo:
             coefficient(system, g, win, win, budget=MCBudget(n, 8), method="mc") for _ in range(2)
         )
         assert (one.value, one.stderr) == (two.value, two.stderr)
-        if system.kind == "orientation":
+        if isinstance(system, OrientationMeasure):
             shifts = cocycle_sampler(g, system.p, 8)(0, n)
         else:
             shifts = math.sqrt(len(g)) * np.random.Generator(np.random.PCG64(8)).standard_normal(n)
@@ -267,7 +307,7 @@ class TestMonteCarlo:
         # so this pins down the direction convention on both routes
         xi = ProfileVector.window(2)
         eta = ProfileVector.indicator(0.5, 3.0)
-        for system, seed in ((orientation_system(0.8), 21), (GSYS, 22)):
+        for system, seed in ((OrientationMeasure(0.8), 21), (GSYS, 22)):
             exact = coefficient(system, w("ab"), xi, eta)
             mc = coefficient(system, w("ab"), xi, eta, budget=MCBudget(60_000, seed), method="mc")
             assert abs(exact.value - mc.value) <= 5.0 * mc.stderr
@@ -334,7 +374,7 @@ class TestSymmetricDifference:
         # with width 2e9 the cap never binds, so the measure is 2 E|S|; the
         # old route 2 (nu(A) - overlap) lost seven digits to the subtraction
         mp = pytest.importorskip("mpmath")
-        if system.kind == "orientation":
+        if isinstance(system, OrientationMeasure):
             # |S| = 2 when the two edges of "ab" agree in orientation, 0 otherwise
             p = Fraction(7, 10)
             want = float(2 * 2 * (p**2 + (1 - p) ** 2))
@@ -463,7 +503,7 @@ class TestDecaySweep:
     def test_sweep_matches_per_word_coefficient(self, system):
         profiles = [ProfileVector.gaussian(), ProfileVector.window(3),
                     ProfileVector.indicator(-1.0, 2.5)]
-        if system.kind == "gaussian":
+        if isinstance(system, GaussianMeasure):
             profiles.append(ProfileVector.cauchy())
         for prof in profiles:
             curve = decay_sweep(system, prof, 4, method="exact")
@@ -572,6 +612,13 @@ class TestAlmostInvariantSweep:
             almost_invariant_sweep(OSYS, 3, [])
         with pytest.raises(ValueError, match="window size"):
             almost_invariant_sweep(GSYS, 3, [10, 0])
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_non_integer_window_size_rejected(self, n):
+        # a size is never truncated: 2.5 used to run, and print, as n=2
+        for system in (OSYS, GSYS):
+            with pytest.raises(ValueError, match="window size must be an integer"):
+                almost_invariant_sweep(system, 3, [n])
 
 
 class TestCsvEmission:

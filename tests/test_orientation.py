@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_letters
 from treeskew import orientation
-from treeskew.koopman import coefficient, orientation_system
+from treeskew.koopman import coefficient
 from treeskew.orientation import (
     Orientation,
     OrientationMeasure,
@@ -38,13 +38,13 @@ def rand_word(rng: random.Random, max_len: int) -> Word:
 def window_coefficient(g: Word, n: int, p: float) -> float:
     """Exact window coefficient ``E[max(2n - |S|, 0)] / (2n)`` at ``g``."""
     win = ProfileVector.window(n)
-    return coefficient(orientation_system(p), g, win, win).value
+    return coefficient(OrientationMeasure(p), g, win, win).value
 
 
 def gaussian_bound(g: Word, p: float) -> float:
     """Exact normalized gaussian-profile coefficient ``E[exp(-S^2 / 2)]`` at ``g``."""
     prof = ProfileVector.gaussian()
-    return coefficient(orientation_system(p), g, prof, prof).value
+    return coefficient(OrientationMeasure(p), g, prof, prof).value
 
 
 class TestMeasure:
@@ -55,6 +55,20 @@ class TestMeasure:
 
     def test_basepoint(self):
         assert OrientationMeasure(0.6, rank=3).basepoint == Word.identity(3)
+
+    def test_shift_law_rules(self):
+        # every rule reads the binomial path-sum law of a length-L word, and
+        # draws read the word's own edges
+        law = path_sum_law(5, 0.7)
+        win = ProfileVector.window(2)
+        assert MEASURE.kernel_mean(win, win, 5) == (
+            law.expectation(lambda s: win.correlation(win, float(s))), "exact"
+        )
+        assert MEASURE.capped_shift_mean(5, 3.0) == law.expectation(lambda s: min(abs(s), 3.0))
+        assert MEASURE.shift_bound(5) == 5.0
+        assert MEASURE.draws_read_edges
+        g = w("abA")
+        assert MEASURE.sampler(g, 4)(0, 300).tolist() == cocycle_sampler(g, 0.7, 4)(0, 300).tolist()
 
 
 class TestOrientationValues:

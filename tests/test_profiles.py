@@ -80,6 +80,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProfileVector("window")
 
+    @pytest.mark.parametrize("n", [True, 3.0, 2.5])
+    def test_window_size_must_be_an_integer(self, n):
+        # window(True) used to pass as window(1) and print as window(True)
+        with pytest.raises(ValueError, match="window size must be an integer"):
+            ProfileVector.window(n)
+
     def test_window_must_stay_unit(self):
         # the kind fixes the normalization: there is no knob to ask for a raw window
         with pytest.raises(TypeError):
