@@ -192,7 +192,7 @@ def parse_config(text: str, base: Optional[ExperimentConfig] = None) -> Experime
     return config
 
 
-def _system_spec(config: ExperimentConfig) -> System:
+def _system(config: ExperimentConfig) -> System:
     if config.system == "orientation":
         return OrientationMeasure(config.p, config.rank)
     return GaussianMeasure(config.rank)
@@ -208,7 +208,7 @@ def _open_out(out: Optional[str]) -> Iterator[TextIO]:
 
 
 def cmd_decay(config: ExperimentConfig) -> int:
-    system = _system_spec(config)
+    system = _system(config)
     profile = parse_profile(config.profile)
     _check_sweep(system, profile, config.max_radius, config.shell_cap, config.method)
     with _open_out(config.out) as fh:
@@ -233,7 +233,7 @@ def cmd_decay(config: ExperimentConfig) -> int:
 
 
 def cmd_window(config: ExperimentConfig) -> int:
-    system = _system_spec(config)
+    system = _system(config)
     with _open_out(config.out) as fh:
         table = almost_invariant_sweep(system, config.max_radius, config.window_sizes)
         emit_csv(table, fh)

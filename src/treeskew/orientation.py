@@ -3,22 +3,23 @@ product that cocycle drives on (orientations) x R.
 
 An orientation assigns +-1 to every edge of the Cayley tree: ``+1`` means
 the edge agrees with its reference direction (away from the base vertex),
-``-1`` that it points toward the base vertex.  Edges are independent and
-point toward the base vertex with probability ``p``; for ``p != 1/2`` the
-path sums drift and the translation flow on the second coordinate is a
-transient random walk.
+``-1`` that it points toward the base vertex.  An edge is named by its
+endpoint farther from the base vertex, a nonempty word.  Edges are
+independent and point toward the base vertex with probability ``p``; for
+``p != 1/2`` the path sums drift and the translation flow on the second
+coordinate is a transient random walk.
 
 Orientations are lazy.  A 64-bit seed addresses a full sample of the
-product measure: the value on an edge is a keyed PRF of (seed, edge), so
-only queried edges are ever materialized.  Pushforwards ``g . omega`` keep
-a reference to the base orientation and pull values back through the edge
-action, memoizing what they have answered.
+product measure: the value on an edge is a keyed PRF of (seed, edge
+fingerprint), so only queried edges are ever materialized.  Pushforwards
+``g . omega`` keep a reference to the base orientation and pull values
+back through the edge action, memoizing what they have answered.
 
 The cocycle of a group element is the sum of signed orientation values
-along the geodesic from the base vertex to its translate.  Along such an
-outward geodesic every travel flag is ``+1``, which is why the cocycle of
-a length-L word has the exact binomial law provided by
-:func:`path_sum_law`.
+along the geodesic from the base vertex to its translate.  The edges of
+that outward geodesic are the nonempty prefixes of the word and every
+travel flag is ``+1``, which is why the cocycle of a length-L word has the
+exact binomial law provided by :func:`path_sum_law`.
 
 :class:`OrientationMeasure` is also the orientation system that
 :mod:`treeskew.koopman` measures: it owns the shift law's exact kernel
@@ -36,7 +37,7 @@ import numpy as np
 from .parallel import map_blocks
 from .profiles import ProfileVector, UnsupportedProfileError
 from .rng import prf_bits, prf_uniform, sample_seeds_array
-from .words import CanonicalEdge, GeodesicPath, Word, act_on_edge, geodesic
+from .words import Word, act_on_edge, edge_fingerprint, geodesic
 
 __all__ = [
     "OrientationMeasure",
@@ -128,17 +129,19 @@ class Orientation:
         self,
         seed: int,
         measure: OrientationMeasure,
-        overrides: Optional[Mapping[CanonicalEdge, int]] = None,
+        overrides: Optional[Mapping[Word, int]] = None,
     ):
         self.seed = int(seed)
         self.measure = measure
         self.overrides = dict(overrides) if overrides else {}
         for edge, v in self.overrides.items():
+            if not edge:
+                raise ValueError("the base vertex names no edge")
             if v not in (-1, 1):
                 raise ValueError(f"override for {edge} must be +-1, got {v!r}")
         self._base: Optional[Orientation] = None
         self._inv: Optional[Word] = None
-        self._memo: dict[CanonicalEdge, int] = {}
+        self._memo: dict[Word, int] = {}
 
     @classmethod
     def _pushed(cls, base: "Orientation", g: Word) -> "Orientation":
@@ -151,11 +154,11 @@ class Orientation:
         obj._memo = {}
         return obj
 
-    def value(self, edge: CanonicalEdge) -> int:
-        """The +-1 value of this orientation on a canonical edge."""
-        if edge.parent.rank != self.measure.rank:
+    def value(self, edge: Word) -> int:
+        """The +-1 value of this orientation on the edge named by its far endpoint."""
+        if edge.rank != self.measure.rank:
             raise ValueError(
-                f"rank mismatch: edge has rank {edge.parent.rank}, "
+                f"rank mismatch: edge has rank {edge.rank}, "
                 f"orientation has rank {self.measure.rank}"
             )
         v = self.overrides.get(edge)
@@ -167,7 +170,7 @@ class Orientation:
                 preimage, flip = act_on_edge(self._inv, edge)
                 v = flip * self._base.value(preimage)
             else:
-                u = prf_uniform(self.seed, edge.fingerprint)
+                u = prf_uniform(self.seed, edge_fingerprint(edge))
                 v = -1 if u < self.measure.p else 1
             self._memo[edge] = v
         return v
@@ -195,8 +198,7 @@ def path_cocycle(omega: Orientation, x: Word, y: Word) -> int:
     orientation points, ``-1`` otherwise; antisymmetric in (x, y) and
     additive along concatenations, both exactly.
     """
-    path: GeodesicPath = geodesic(x, y)
-    return sum(travel * omega.value(edge) for edge, travel in path.steps)
+    return sum(travel * omega.value(edge) for edge, travel in geodesic(x, y))
 
 
 def group_cocycle(omega: Orientation, g: Word) -> int:
@@ -268,7 +270,7 @@ def cocycle_sampler(g: Word, p: float, seed: int) -> Callable[[int, int], np.nda
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     path = geodesic(Word.identity(g.rank), g)
-    fps = np.array([edge.fingerprint for edge, _ in path.steps], dtype=np.uint64)[:, None]
+    fps = np.array([edge_fingerprint(edge) for edge, _ in path], dtype=np.uint64)[:, None]
     threshold = np.uint64(math.ceil(p * 2.0**53))
 
     def draws(lo: int, hi: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Deterministic keyed pseudo-random values for lazy edge sampling.
 
 A 64-bit SplitMix-style finalizer acts as a stateless PRF: the value at a
-tree edge is a pure function of (seed, edge fingerprint), so an orientation
-never has to materialize more edges than are actually queried.  The scalar
-and the numpy paths share the same arithmetic and are bit-identical.
+tree edge is a pure function of the seed and the edge's fingerprint, which
+:func:`treeskew.words.edge_fingerprint` computes from the edge's far
+endpoint.  So an orientation never has to materialize more edges than are
+actually queried.  The scalar and the numpy paths share the same
+arithmetic and are bit-identical.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Vertices of the Cayley tree of the free group on ``k`` generators are the
 freely reduced words; the base vertex is the empty word.  Every edge joins
-a word to a one-letter extension of it, and the canonical form of an edge
-names the shorter endpoint (``parent``) and the generator step to the
-longer one.  The reference direction of an edge always points away from
-the base vertex.
+a nonempty word to its prefix one letter shorter, so an edge is named by
+its endpoint farther from the base vertex: a nonempty :class:`Word`.  The
+edges on the geodesic from the base vertex to ``g`` are the nonempty
+prefixes of ``g``.  The reference direction of an edge always points away
+from the base vertex.
 
 Everything in this module is exact integer and tuple arithmetic; there is
 no floating point anywhere in the geometry.
@@ -23,13 +24,12 @@ from .rng import GOLDEN, MASK64, fingerprint_letters, mix64
 
 __all__ = [
     "Word",
-    "CanonicalEdge",
-    "GeodesicPath",
     "parse_word",
     "common_prefix_length",
     "distance",
     "geodesic",
     "act_on_edge",
+    "edge_fingerprint",
     "letter_order",
     "ball",
     "ball_size",
@@ -192,87 +192,42 @@ def distance(x: Word, y: Word) -> int:
     return len(x) + len(y) - 2 * common_prefix_length(x, y)
 
 
-@dataclass(frozen=True)
-class CanonicalEdge:
-    """A tree edge in canonical form.
+def geodesic(x: Word, y: Word) -> tuple[tuple[Word, int], ...]:
+    """Geodesic from ``x`` to ``y``: down to the common prefix, then up.
 
-    ``parent`` is the endpoint closer to the base vertex and
-    ``parent * step`` the farther one, so ``len(child) == len(parent) + 1``
-    always holds.  The reference direction is parent -> child.
+    Each step pairs an edge with a travel flag: ``+1`` when the path follows
+    the edge's reference direction (away from the base vertex), ``-1`` when
+    it runs against it.
     """
-
-    parent: Word
-    step: int
-
-    def __post_init__(self):
-        r = self.parent.rank
-        if not isinstance(self.step, int) or self.step == 0 or abs(self.step) > r:
-            raise ValueError(f"invalid step {self.step!r} for rank {r}")
-        if self.parent.letters and self.parent.letters[-1] == -self.step:
-            raise ValueError("edge is not canonical: child would be shorter than parent")
-
-    @cached_property
-    def child(self) -> Word:
-        return _reduced(self.parent.letters + (self.step,), self.parent.rank)
-
-    @cached_property
-    def fingerprint(self) -> int:
-        return mix64(self.parent.fingerprint ^ ((self.step & MASK64) * GOLDEN & MASK64))
-
-    def __hash__(self) -> int:
-        return self.fingerprint
-
-    def __str__(self) -> str:
-        return f"({self.parent}|{Word((self.step,), self.parent.rank)})"
-
-
-@dataclass(frozen=True)
-class GeodesicPath:
-    """The unique simple edge path between two vertices.
-
-    Each step pairs a canonical edge with a travel flag: ``+1`` when the
-    path follows the edge's reference direction (away from the base
-    vertex), ``-1`` when it runs against it.
-    """
-
-    start: Word
-    end: Word
-    steps: tuple[tuple[CanonicalEdge, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def vertices(self) -> list[Word]:
-        out = [self.start]
-        for edge, travel in self.steps:
-            out.append(edge.child if travel > 0 else edge.parent)
-        return out
-
-
-def geodesic(x: Word, y: Word) -> GeodesicPath:
-    """Geodesic from ``x`` to ``y``: down to the common prefix, then up."""
     m = common_prefix_length(x, y)
-    steps: list[tuple[CanonicalEdge, int]] = []
-    for i in range(len(x), m, -1):
-        steps.append((CanonicalEdge(x.prefix(i - 1), x.letters[i - 1]), -1))
-    for i in range(m, len(y)):
-        steps.append((CanonicalEdge(y.prefix(i), y.letters[i]), +1))
-    return GeodesicPath(x, y, tuple(steps))
+    down = tuple((x.prefix(i), -1) for i in range(len(x), m, -1))
+    return down + tuple((y.prefix(i), +1) for i in range(m + 1, len(y) + 1))
 
 
-def act_on_edge(g: Word, edge: CanonicalEdge) -> tuple[CanonicalEdge, int]:
-    """Image of a canonical edge under left translation by ``g``.
+def _check_edge(edge: Word) -> None:
+    if not edge.letters:
+        raise ValueError("the base vertex names no edge")
+
+
+def edge_fingerprint(edge: Word) -> int:
+    """64-bit fingerprint of an edge, the key its sampled values are drawn by."""
+    _check_edge(edge)
+    step = edge.letters[-1]
+    return mix64(fingerprint_letters(edge.letters[:-1]) ^ ((step & MASK64) * GOLDEN & MASK64))
+
+
+def act_on_edge(g: Word, edge: Word) -> tuple[Word, int]:
+    """Image of an edge under left translation by ``g``.
 
     Returns ``(image, flip)``.  ``flip`` is ``-1`` exactly when the image of
     the reference direction runs against the image edge's own reference,
-    i.e. when ``len(g * parent) > len(g * child)``.
+    i.e. when ``g * parent`` is farther from the base vertex than ``g * edge``.
     """
-    _check_ranks(g, edge.parent)
-    u = g * edge.parent
-    v = g * edge.child
-    if len(v) == len(u) + 1:
-        return CanonicalEdge(u, v.letters[-1]), +1
-    return CanonicalEdge(v, u.letters[-1]), -1
+    _check_edge(edge)
+    _check_ranks(g, edge)
+    u = g * edge.prefix(len(edge) - 1)
+    v = g * edge
+    return (v, +1) if len(v) > len(u) else (u, -1)
 
 
 def letter_order(rank: int) -> list[int]:
@@ -280,15 +235,22 @@ def letter_order(rank: int) -> list[int]:
     return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
 
 
+def _check_size(name: str, size: int, rank: int) -> None:
+    if size < 0:
+        raise ValueError(f"{name} must be >= 0, got {size}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+
+
 def ball(radius: int, rank: int) -> list[Word]:
     """All words of length <= radius, in breadth-first order."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _check_size("radius", radius, rank)
     return [w for length in range(radius + 1) for w in shell(length, rank)]
 
 
 def ball_size(radius: int, rank: int) -> int:
     """`1 + 2k((2k-1)^r - 1)/(2k-2)` vertices for rank k > 1, 2r+1 for rank 1."""
+    _check_size("radius", radius, rank)
     k = rank
     if k == 1:
         return 2 * radius + 1
@@ -310,10 +272,7 @@ def _reduced(letters: tuple[int, ...], rank: int) -> Word:
 
 def shell(length: int, rank: int) -> list[Word]:
     """All words of exactly the given length, in enumeration order."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_size("length", length, rank)
     order = letter_order(rank)
     current: list[tuple[int, ...]] = [()]
     for _ in range(length):
@@ -334,10 +293,7 @@ def shell_labels(length: int, rank: int) -> list[str]:
     :class:`Word` is built.  Above rank 26 a word prints as indexed tokens
     and its label comes from ``str(w)``.
     """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_size("length", length, rank)
     if rank > 26:
         return [str(w) for w in shell(length, rank)]
     if length == 0:
@@ -351,6 +307,7 @@ def shell_labels(length: int, rank: int) -> list[str]:
 
 
 def shell_size(length: int, rank: int) -> int:
+    _check_size("length", length, rank)
     if length == 0:
         return 1
     k = rank
@@ -365,10 +322,6 @@ def word_at(length: int, rank: int, index: int) -> Word:
     letter is one digit in base ``2k - 1`` over the letters that do not
     cancel the previous one.
     """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
     if not 0 <= index < shell_size(length, rank):
         raise ValueError(f"index {index} is outside the shell of length {length}")
     order = letter_order(rank)
@@ -382,19 +335,14 @@ def word_at(length: int, rank: int, index: int) -> Word:
     return _reduced(tuple(letters), rank)
 
 
-def ball_edges(radius: int, rank: int) -> list[CanonicalEdge]:
-    """Canonical edges with both endpoints in the ball of the given radius."""
-    return [
-        CanonicalEdge(w.prefix(len(w) - 1), w.letters[-1])
-        for w in ball(radius, rank)
-        if w.letters
-    ]
+def ball_edges(radius: int, rank: int) -> list[Word]:
+    """Edges with both endpoints in the ball of the given radius, named by their far endpoints."""
+    return ball(radius, rank)[1:]
 
 
 def sample_word(length: int, rank: int, rng: random.Random) -> Word:
     """Uniform random reduced word of exactly the given length."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    _check_size("length", length, rank)
     letters: list[int] = []
     last = 0
     for _ in range(length):

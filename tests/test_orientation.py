@@ -22,7 +22,7 @@ from treeskew.orientation import (
 from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
 from treeskew.rng import sample_seed
-from treeskew.words import CanonicalEdge, Word, ball_edges, parse_word
+from treeskew.words import Word, ball_edges, parse_word
 
 MEASURE = OrientationMeasure(0.7)
 
@@ -88,20 +88,28 @@ class TestOrientationValues:
         assert a != c
 
     def test_overrides_win(self):
-        edge = CanonicalEdge(Word.identity(2), 1)
+        edge = w("a")
         for forced in (-1, 1):
             omega = Orientation(9, MEASURE, overrides={edge: forced})
             assert omega.value(edge) == forced
 
     def test_override_validation(self):
-        edge = CanonicalEdge(Word.identity(2), 1)
+        edge = w("a")
         with pytest.raises(ValueError):
             Orientation(0, MEASURE, overrides={edge: 2})
 
     def test_rank_mismatch(self):
-        edge = CanonicalEdge(Word.identity(3), 1)
+        edge = parse_word("a", 3)
         with pytest.raises(ValueError, match="rank"):
             Orientation(0, MEASURE).value(edge)
+
+    def test_base_vertex_is_no_edge(self):
+        base = Orientation(0, MEASURE, overrides={w("a"): 1})
+        for omega in (base, pushforward(w("ab"), base)):
+            with pytest.raises(ValueError, match="names no edge"):
+                omega.value(Word.identity(2))
+        with pytest.raises(ValueError, match="names no edge"):
+            Orientation(0, MEASURE, overrides={Word.identity(2): 1})
 
     def test_empirical_edge_frequency(self):
         # distinct edges are independent PRF draws; the fraction pointing
@@ -119,13 +127,13 @@ class TestPushforward:
         assert pushforward(Word.identity(2), omega) is omega
 
     def test_known_translate_values(self):
-        edge_a = CanonicalEdge(Word.identity(2), 1)  # e -- a
-        edge_inv = CanonicalEdge(Word.identity(2), -1)  # e -- A
+        edge_a = w("a")  # 1 -- a
+        edge_inv = w("A")  # 1 -- A
         omega = Orientation(0, MEASURE, overrides={edge_a: 1, edge_inv: 1})
         moved = pushforward(w("a"), omega)
-        # the image of (e -- a) is (a -- aa), reference preserved
-        assert moved.value(CanonicalEdge(w("a"), 1)) == 1
-        # the image of (e -- A) is (a -- e): canonical form flips reference
+        # the image of (1 -- a) is (a -- aa), reference preserved
+        assert moved.value(w("aa")) == 1
+        # the image of (1 -- A) is (a -- 1), which runs against the reference of edge a
         assert moved.value(edge_a) == -1
 
     def test_composition(self):
@@ -157,13 +165,13 @@ class TestPathCocycle:
 
     def test_known_values_from_overrides(self):
         overrides = {
-            CanonicalEdge(Word.identity(2), 1): 1,  # e -- a
-            CanonicalEdge(w("a"), 2): 1,  # a -- ab
+            w("a"): 1,  # 1 -- a
+            w("ab"): 1,  # a -- ab
         }
         omega = Orientation(0, MEASURE, overrides=overrides)
         assert path_cocycle(omega, Word.identity(2), w("ab")) == 2
         assert path_cocycle(omega, w("ab"), Word.identity(2)) == -2
-        omega2 = Orientation(0, MEASURE, overrides={**overrides, CanonicalEdge(w("a"), 2): -1})
+        omega2 = Orientation(0, MEASURE, overrides={**overrides, w("ab"): -1})
         assert path_cocycle(omega2, Word.identity(2), w("ab")) == 0
 
     def test_antisymmetry_and_additivity(self):
@@ -195,7 +203,7 @@ class TestChainRule:
 
 class TestSkewAction:
     def test_shift_uses_inverse_cocycle(self):
-        edge_a = CanonicalEdge(Word.identity(2), 1)
+        edge_a = w("a")
         omega = Orientation(0, MEASURE, overrides={edge_a: 1})
         moved = skew_step(w("A"), SkewPoint(omega, 0.0))
         assert moved.t == 1.0
@@ -340,6 +348,10 @@ class TestCocycleSamples:
         assert draws.dtype == np.int64
         assert np.all(np.abs(draws) <= len(g))
         assert np.all((draws - len(g)) % 2 == 0)
+
+    def test_draws_are_pinned(self):
+        # the draws of a seed are fixed: they read the pinned edge fingerprints
+        assert cocycle_samples(w("abAB"), 0.7, 3, 6).tolist() == [-4, -4, -4, 0, -2, -2]
 
     def test_identity_and_empty(self):
         assert cocycle_samples(Word.identity(2), 0.7, 0, 10).tolist() == [0] * 10

@@ -1,10 +1,10 @@
 import random
+import re
 
 import pytest
 
 from conftest import random_letters
 from treeskew.words import (
-    CanonicalEdge,
     Word,
     act_on_edge,
     ball,
@@ -12,6 +12,7 @@ from treeskew.words import (
     ball_size,
     common_prefix_length,
     distance,
+    edge_fingerprint,
     geodesic,
     parse_word,
     sample_word,
@@ -24,6 +25,19 @@ from treeskew.words import (
 
 def w(text: str, rank: int = 2) -> Word:
     return parse_word(text, rank)
+
+
+def parent(edge: Word) -> Word:
+    """The near endpoint of the edge named by its far endpoint ``edge``."""
+    return edge.prefix(len(edge) - 1)
+
+
+def vertices(start: Word, steps) -> list[Word]:
+    """The vertices a path from ``start`` visits along its ``(edge, travel)`` steps."""
+    out = [start]
+    for edge, travel in steps:
+        out.append(edge if travel > 0 else parent(edge))
+    return out
 
 
 class TestParsing:
@@ -106,8 +120,9 @@ class TestWordValidation:
             Word((), 0)
 
     def test_group_operations_skip_the_checks(self, monkeypatch):
-        # products, inverses, prefixes and edge children of checked words are
-        # reduced by construction, so they never go through the checks again
+        # products, inverses, prefixes, geodesic steps and edge images of
+        # checked words are reduced by construction, so they never go
+        # through the checks again
         rng = random.Random(5)
         pairs = [
             (Word(random_letters(rng, rng.randint(0, 8), 2), 2),
@@ -118,8 +133,9 @@ class TestWordValidation:
         monkeypatch.setattr(Word, "__post_init__", lambda word: checks.append(word))
         for g, h in pairs:
             assert (g * h).rank == (~g).rank == g.prefix(len(g) // 2).rank == 2
+            assert all(edge.rank == 2 for edge, _ in geodesic(g, h))
             if h:
-                assert CanonicalEdge(h.prefix(len(h) - 1), h.letters[-1]).child == h
+                assert act_on_edge(g, h)[0].rank == 2
         assert checks == []
         monkeypatch.undo()
         with pytest.raises(ValueError, match="not freely reduced"):
@@ -165,7 +181,7 @@ class TestGroupStructure:
         # a hash of the letter tuple cannot tell A from B (hash(-1) == hash(-2))
         words, edges = ball(6, 2), ball_edges(6, 2)
         assert len({hash(v) for v in words}) == len(words)
-        assert len({hash(e) for e in edges}) == len(edges)
+        assert len({edge_fingerprint(e) for e in edges}) == len(edges)
 
 
 class TestMetric:
@@ -206,8 +222,8 @@ class TestMetric:
 class TestGeodesic:
     def test_down_then_up(self):
         path = geodesic(w("ab"), w("aB"))
-        assert [str(v) for v in path.vertices()] == ["ab", "a", "aB"]
-        assert [t for _, t in path.steps] == [-1, 1]
+        assert [str(v) for v in vertices(w("ab"), path)] == ["ab", "a", "aB"]
+        assert path == ((w("ab"), -1), (w("aB"), 1))
 
     def test_matches_bfs_paths(self, tree_oracle):
         rng = random.Random(37)
@@ -215,7 +231,7 @@ class TestGeodesic:
         for _ in range(150):
             a, b = rng.choice(verts), rng.choice(verts)
             path = geodesic(Word(a, 2), Word(b, 2))
-            assert [v.letters for v in path.vertices()] == tree_oracle.path(a, b)
+            assert [v.letters for v in vertices(Word(a, 2), path)] == tree_oracle.path(a, b)
 
     def test_reversal_flips_travel(self):
         rng = random.Random(41)
@@ -224,41 +240,29 @@ class TestGeodesic:
             y = Word(random_letters(rng, rng.randint(0, 8), 2), 2)
             fwd, back = geodesic(x, y), geodesic(y, x)
             assert len(fwd) == distance(x, y)
-            assert [e for e, _ in back.steps] == [e for e, _ in reversed(fwd.steps)]
-            assert [t for _, t in back.steps] == [-t for _, t in reversed(fwd.steps)]
+            assert [e for e, _ in back] == [e for e, _ in reversed(fwd)]
+            assert [t for _, t in back] == [-t for _, t in reversed(fwd)]
 
     def test_each_step_is_parent_child(self):
         path = geodesic(w("abA"), w("ba"))
-        for edge, _ in path.steps:
-            assert distance(edge.parent, edge.child) == 1
-            assert len(edge.child) == len(edge.parent) + 1
+        for edge, _ in path:
+            assert distance(parent(edge), edge) == 1
+            assert len(edge) == len(parent(edge)) + 1
 
 
 class TestEdges:
-    def test_canonical_edge_child(self):
-        edge = CanonicalEdge(w("a"), 2)
-        assert edge.child == w("ab")
-
-    def test_rejects_noncanonical(self):
-        # parent must be the short endpoint, so stepping back toward the
-        # root is not a canonical edge
-        with pytest.raises(ValueError):
-            CanonicalEdge(w("a"), -1)
-
     def test_identity_action(self):
-        edge = CanonicalEdge(w("ab"), -1)
+        edge = w("abA")
         assert act_on_edge(Word.identity(2), edge) == (edge, 1)
 
     def test_translation_toward_root_flips(self):
-        edge = CanonicalEdge(Word.identity(2), 1)  # e -- a
-        image, flip = act_on_edge(w("A"), edge)
-        assert image == CanonicalEdge(Word.identity(2), -1)  # e -- A
+        image, flip = act_on_edge(w("A"), w("a"))  # the edge 1 -- a
+        assert image == w("A")  # the edge 1 -- A
         assert flip == -1
 
     def test_translation_away_keeps_reference(self):
-        edge = CanonicalEdge(Word.identity(2), 2)  # e -- b
-        image, flip = act_on_edge(w("a"), edge)
-        assert image == CanonicalEdge(w("a"), 2)
+        image, flip = act_on_edge(w("a"), w("b"))
+        assert image == w("ab")
         assert flip == 1
 
     def test_action_composes_with_flip_product(self):
@@ -279,7 +283,13 @@ class TestEdges:
             g = Word(random_letters(rng, rng.randint(0, 6), 2), 2)
             e = rng.choice(edges)
             image, _ = act_on_edge(g, e)
-            assert {image.parent, image.child} == {g * e.parent, g * e.child}
+            assert {parent(image), image} == {g * parent(e), g * e}
+
+    def test_base_vertex_is_no_edge(self):
+        with pytest.raises(ValueError, match="names no edge"):
+            edge_fingerprint(Word.identity(2))
+        with pytest.raises(ValueError, match="names no edge"):
+            act_on_edge(w("a"), Word.identity(2))
 
     def test_ball_edges_count(self):
         # a ball is a tree: one parent edge per non-identity vertex
@@ -288,7 +298,13 @@ class TestEdges:
 
     def test_edge_fingerprints_distinct(self):
         edges = ball_edges(5, 2)
-        assert len({e.fingerprint for e in edges}) == len(edges)
+        assert len({edge_fingerprint(e) for e in edges}) == len(edges)
+
+    def test_edge_fingerprints_are_pinned(self):
+        # every sampled orientation value is keyed by these integers
+        assert edge_fingerprint(w("a")) == 13940233359472233368
+        assert edge_fingerprint(w("aBA")) == 13319090881021204679
+        assert edge_fingerprint(parse_word("cB", 3)) == 3770349986118079859
 
 
 class TestEnumeration:
@@ -343,6 +359,24 @@ class TestEnumeration:
             assert shell_labels(length, rank) == [str(v) for v in shell(length, rank)]
         with pytest.raises(ValueError, match="length"):
             shell_labels(-1, rank)
+
+    @pytest.mark.parametrize(
+        "call,sibling",
+        [
+            (lambda: shell_size(-1, 2), lambda: shell(-1, 2)),
+            (lambda: ball_size(-1, 2), lambda: ball(-1, 2)),
+            (lambda: shell_size(2, 0), lambda: shell(2, 0)),
+            (lambda: ball_size(2, 0), lambda: ball(2, 0)),
+            (lambda: sample_word(3, 0, random.Random(0)), lambda: word_at(3, 0, 0)),
+        ],
+        ids=["shell_size-length", "ball_size-radius", "shell_size-rank", "ball_size-rank",
+             "sample_word-rank"],
+    )
+    def test_size_functions_check_like_their_siblings(self, call, sibling):
+        with pytest.raises(ValueError) as expected:
+            sibling()
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            call()
 
     def test_ball_is_union_of_shells(self):
         words = ball(4, 2)
