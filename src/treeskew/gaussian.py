@@ -38,8 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
-import numpy as np
-
+from ._np import np
 from .numerics import check_interval, expected_excess, gaussian_expectation, interval_overlap
 from .profiles import ProfileVector
 from .words import Word

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
+from ._np import np
 
 __all__ = [
     "HSOperator",

@@ -55,8 +55,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
-import numpy as np
-
+from ._np import np
 from .gaussian import GaussianMeasure
 from .orientation import OrientationMeasure
 from .parallel import block_moments, map_blocks, mean_stderr

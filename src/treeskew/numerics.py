@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
+from ._np import np
 
 __all__ = [
     "adaptive_simpson",

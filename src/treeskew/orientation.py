@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Optional
 
-import numpy as np
-
+from ._np import np
 from .parallel import map_blocks
 from .profiles import ProfileVector, UnsupportedProfileError
 from .rng import prf_bits, prf_uniform, sample_seeds_array

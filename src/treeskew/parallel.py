@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, TypeVar
 
-import numpy as np
+from ._np import np
 
 T = TypeVar("T")
 

@@ -27,8 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from ._np import np
 from .numerics import (
     adaptive_simpson,
     check_interval,

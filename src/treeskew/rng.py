@@ -10,7 +10,7 @@ arithmetic and are bit-identical.
 
 from __future__ import annotations
 
-import numpy as np
+from ._np import np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15

@@ -25,9 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import hs
+from ._np import np
 from .gaussian import GaussianMeasure, gram_matrix, interval_overlap_by_quadrature
 from .koopman import (
     MCBudget,

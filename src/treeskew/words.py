@@ -102,8 +102,16 @@ class Word:
         return _reduced(self.letters[:length], self.rank)
 
     @cached_property
+    def _parent_fingerprint(self) -> int:
+        # the parent vertex's fingerprint; the base vertex has its own here
+        return fingerprint_letters(self.letters[:-1])
+
+    @cached_property
     def fingerprint(self) -> int:
-        return fingerprint_letters(self.letters)
+        # fingerprint_letters is a chain: one more mix64 extends the parent's
+        if not self.letters:
+            return self._parent_fingerprint
+        return mix64(self._parent_fingerprint ^ (self.letters[-1] & MASK64))
 
     def __hash__(self) -> int:
         # CPython hashes -1 and -2 alike, so a hash of the letter tuple
@@ -212,8 +220,7 @@ def _check_edge(edge: Word) -> None:
 def edge_fingerprint(edge: Word) -> int:
     """64-bit fingerprint of an edge, the key its sampled values are drawn by."""
     _check_edge(edge)
-    step = edge.letters[-1]
-    return mix64(fingerprint_letters(edge.letters[:-1]) ^ ((step & MASK64) * GOLDEN & MASK64))
+    return mix64(edge._parent_fingerprint ^ ((edge.letters[-1] & MASK64) * GOLDEN & MASK64))
 
 
 def act_on_edge(g: Word, edge: Word) -> tuple[Word, int]:

@@ -25,19 +25,69 @@ def test_every_export_resolves_once(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def _probe(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout; return its stdout."""
+    package_root = str(Path(treeskew.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return proc.stdout
+
+
 def test_package_root_imports_nothing():
     # the root holds only __version__, so importing it loads no submodule and no numpy
     probe = (
         "import sys, treeskew; "
         "print(sorted(m for m in sys.modules if m.startswith(('treeskew.', 'numpy'))))"
     )
-    package_root = str(Path(treeskew.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
-    assert proc.stdout == "[]\n"
+    assert _probe(probe) == "[]\n"
+
+
+EXACT_COMMANDS = [
+    ["decay", "--system", "orientation", "--p", "0.7", "--method", "exact",
+     "--max-radius", "4", "--shell-cap", "100"],
+    ["decay", "--system", "gaussian", "--profile", "window:25", "--method", "exact",
+     "--max-radius", "4", "--shell-cap", "100"],
+    ["window", "--system", "orientation", "--p", "0.7"],
+    ["window", "--system", "gaussian"],
+    ["decay", "--system", "gaussian", "--profile", "cauchy", "--shell-cap", "2"],
+]
+MC_COMMAND = ["decay", "--method", "mc", "--samples", "1000", "--max-radius", "2",
+              "--shell-cap", "2"]
+
+
+def test_exact_work_never_runs_numpy(tmp_path):
+    # numpy's own entry is a lazy stub until an array is used, and running its
+    # __init__ loads its submodules, so no numpy.* module means numpy never ran
+    probe = f"""
+import sys
+from treeskew.cli import main
+out = sys.argv[1]
+def numpy_ran():
+    return any(m.startswith("numpy.") for m in sys.modules)
+codes = [main(args + ["--out", f"{{out}}/{{i}}.csv"]) for i, args in enumerate({EXACT_COMMANDS!r})]
+print(codes, numpy_ran())
+print(main({MC_COMMAND!r} + ["--out", f"{{out}}/mc.csv"]), numpy_ran())
+"""
+    assert _probe(probe, str(tmp_path)) == f"{[0] * len(EXACT_COMMANDS)} False\n0 True\n"
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        "import treeskew.koopman, numpy; print(numpy.arange(3).sum() == 3)",
+        "import numpy, treeskew._np; print(treeskew._np.np is numpy)",
+        # a missing numpy still fails at import, naming numpy
+        "import sys; sys.modules['numpy'] = None\n"
+        "try:\n    import treeskew.koopman\n"
+        "except ModuleNotFoundError as exc:\n    print(exc.name == 'numpy')",
+    ],
+    ids=["treeskew-first", "numpy-first", "numpy-missing"],
+)
+def test_numpy_interop(probe):
+    assert _probe(probe) == "True\n"

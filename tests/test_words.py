@@ -4,6 +4,7 @@ import re
 import pytest
 
 from conftest import random_letters
+from treeskew.rng import fingerprint_letters
 from treeskew.words import (
     Word,
     act_on_edge,
@@ -404,3 +405,9 @@ class TestSampling:
     def test_word_fingerprints_distinct(self):
         words = ball(5, 2)
         assert len({word.fingerprint for word in words}) == len(words)
+
+    def test_hash_is_the_letter_fingerprint(self):
+        # a word's fingerprint extends its parent's by the last letter; hash()
+        # itself folds a __hash__ of 2**63 or more, so call __hash__
+        for word in ball(4, 2):
+            assert word.__hash__() == fingerprint_letters(word.letters)
