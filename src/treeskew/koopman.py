@@ -51,7 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from collections.abc import Sequence
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO, Union
 
@@ -60,7 +60,7 @@ from .gaussian import GaussianMeasure
 from .orientation import OrientationMeasure
 from .parallel import block_moments, map_blocks, mean_stderr
 from .profiles import ProfileVector, UnsupportedProfileError, check_window_size
-from .words import Word, shell_labels, shell_size, word_at
+from .words import Shell, Word, shell, shell_size
 
 __all__ = [
     "UnsupportedProfileError",
@@ -198,46 +198,6 @@ def symmetric_difference_mc(
     return _mc_estimate(system, g, budget, lambda s: 2.0 * np.minimum(np.abs(s), width))
 
 
-@dataclass(frozen=True, eq=False)
-class _ShellWords(Sequence):
-    """The words at ``indices`` of :func:`treeskew.words.shell`'s order, built on access.
-
-    A sweep holds a shell as its indices: ``range(shell_size)`` for a whole
-    shell, a seeded sample for a capped one.  Items are unranked by
-    :func:`treeskew.words.word_at`; the view equals any sequence of the
-    same words in the same order.
-    """
-
-    length: int
-    rank: int
-    indices: Sequence[int]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _ShellWords(self.length, self.rank, self.indices[i])
-        return word_at(self.length, self.rank, self.indices[i])
-
-    def __iter__(self):
-        return (word_at(self.length, self.rank, i) for i in self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def labels(self) -> list[str]:
-        """``str(w)`` of every word, with no :class:`Word` built for a whole shell."""
-        if self.indices == range(shell_size(self.length, self.rank)):
-            return shell_labels(self.length, self.rank)
-        return [str(w) for w in self]
-
-
 @dataclass(frozen=True)
 class DecayPoint:
     """One estimate of a decay sweep and the words of shell ``radius`` it covers.
@@ -246,13 +206,12 @@ class DecayPoint:
     quadrature values, and the Gaussian Monte Carlo draws, depend on a word
     only through its length, so such a point covers every sampled word of
     its shell; an orientation Monte Carlo point covers one word, estimated
-    from the draws on that word's own edges.  A sweep's shell-wide
-    ``words`` is a view over the shell's indices that builds each
-    :class:`Word` only when it is read.
+    from the draws on that word's own edges.  ``words`` holds the shell's
+    indices and builds each :class:`Word` only when it is read.
     """
 
     radius: int
-    words: Sequence[Word]
+    words: Shell
     estimate: CoefficientEstimate
 
 
@@ -272,13 +231,28 @@ class DecayCurve:
 _ENUMERATION_LIMIT = 100_000
 
 
-def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> _ShellWords:
+def _distinct_draws(rng: random.Random, size: int, cap: int) -> tuple[int, ...]:
+    """``cap`` distinct indices below ``size``, drawn as ``rng.sample`` draws from a large range.
+
+    ``Random.sample`` takes ``len()`` of its population, which overflows
+    beyond ``sys.maxsize``; this is the loop of its set branch, redrawing
+    each index already chosen.
+    """
+    chosen: dict[int, None] = {}
+    while len(chosen) < cap:
+        chosen.setdefault(rng.randrange(size))
+    return tuple(chosen)
+
+
+def _shell_words(length: int, rank: int, cap: Optional[int], seed: int) -> Shell:
     """The whole shell under the cap; otherwise a seeded sample of ``cap`` distinct indices."""
     size = shell_size(length, rank)
     if cap is None or size <= cap:
-        return _ShellWords(length, rank, range(size))
-    indices = random.Random(f"shell:{seed}:{length}").sample(range(size), cap)
-    return _ShellWords(length, rank, tuple(indices))
+        return shell(length, rank)
+    rng = random.Random(f"shell:{seed}:{length}")
+    if size > sys.maxsize:
+        return Shell(length, rank, _distinct_draws(rng, size, cap))
+    return Shell(length, rank, tuple(rng.sample(range(size), cap)))
 
 
 def _check_sweep(
@@ -331,7 +305,7 @@ def decay_sweep(
     points = []
     for length in range(1, max_radius + 1):
         words = _shell_words(length, system.rank, per_shell_cap, seed)
-        for group in ([(w,) for w in words] if per_word else [words]):
+        for group in ([words[i : i + 1] for i in range(len(words))] if per_word else [words]):
             est = coefficient(system, group[0], profile, profile, budget, method)
             points.append(DecayPoint(length, group, est))
     return DecayCurve(system, profile, tuple(points))
@@ -418,9 +392,7 @@ def emit_csv(obj: Union[DecayCurve, SweepTable], fh: TextIO) -> None:
             tail = "," + _csv_fields(
                 est.method, _fmt(est.value), _fmt(est.stderr), est.samples, est.seed
             ) + "\n"
-            words = pt.words
-            labels = words.labels() if isinstance(words, _ShellWords) else map(str, words)
-            fh.write("".join([f"{head}{label}{tail}" for label in labels]))
+            fh.write("".join([f"{head}{label}{tail}" for label in pt.words.labels()]))
     elif isinstance(obj, SweepTable):
         writer.writerow(["system", "ball_radius", "n", "sup_defect", "bound"])
         system = obj.system.label()

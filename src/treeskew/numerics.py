@@ -128,7 +128,7 @@ def gaussian_expectation(
 
 
 def check_interval(interval: Sequence[float]) -> tuple[float, float]:
-    """Validate an interval (a, b) with a < b and finite endpoints."""
+    """Validate an interval (a, b) with a < b, finite endpoints and a finite length."""
     try:
         a, b = float(interval[0]), float(interval[1])
     except (TypeError, IndexError) as exc:
@@ -137,6 +137,8 @@ def check_interval(interval: Sequence[float]) -> tuple[float, float]:
         raise ValueError(f"interval endpoints must be finite, got {interval!r}")
     if a >= b:
         raise ValueError(f"empty or inverted interval {interval!r}")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval length overflows a float: {interval!r}")
     return a, b
 
 

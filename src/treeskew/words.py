@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -33,6 +34,7 @@ __all__ = [
     "letter_order",
     "ball",
     "ball_size",
+    "Shell",
     "shell",
     "shell_size",
     "shell_labels",
@@ -268,8 +270,8 @@ def _reduced(letters: tuple[int, ...], rank: int) -> Word:
     """A :class:`Word` from letters the caller has built freely reduced.
 
     Skips the checks of ``Word.__post_init__``.  Only code whose letters are
-    valid and reduced by construction may call it: enumeration that never
-    appends the inverse of the last letter, and the group operations on
+    valid and reduced by construction may call it: :func:`word_at`, which
+    never appends the inverse of the last letter, and the group operations on
     words that have already passed the checks.
     """
     w = object.__new__(Word)
@@ -277,40 +279,23 @@ def _reduced(letters: tuple[int, ...], rank: int) -> Word:
     return w
 
 
-def shell(length: int, rank: int) -> list[Word]:
-    """All words of exactly the given length, in enumeration order."""
-    _check_size("length", length, rank)
-    order = letter_order(rank)
-    current: list[tuple[int, ...]] = [()]
-    for _ in range(length):
-        current = [
-            letters + (s,)
-            for letters in current
-            for s in order
-            if not letters or s != -letters[-1]
-        ]
-    return [_reduced(letters, rank) for letters in current]
-
-
 def shell_labels(length: int, rank: int) -> list[str]:
-    """``str(w)`` for every word of :func:`shell`, in the same order, built as strings.
+    """``str(w)`` for every word of a shell, in :func:`word_at` order, built as strings.
 
     Each label extends its parent's label by the letters that do not cancel
-    the parent's last letter, just as :func:`shell` extends its words, so no
-    :class:`Word` is built.  Above rank 26 a word prints as indexed tokens
+    the parent's last letter, in :func:`letter_order`, so no :class:`Word`
+    is built.  Above rank 26 a word prints as indexed tokens
     and its label comes from ``str(w)``.
     """
     _check_size("length", length, rank)
     if rank > 26:
         return [str(w) for w in shell(length, rank)]
-    if length == 0:
-        return ["1"]
     chars = [_LETTERS[s] for s in letter_order(rank)]
     follows = {c: [d for d in chars if d != c.swapcase()] for c in chars}
     current = chars
     for _ in range(length - 1):
         current = [label + c for label in current for c in follows[label[-1]]]
-    return current
+    return current if length else ["1"]
 
 
 def shell_size(length: int, rank: int) -> int:
@@ -322,24 +307,63 @@ def shell_size(length: int, rank: int) -> int:
 
 
 def word_at(length: int, rank: int, index: int) -> Word:
-    """The word at position ``index`` of :func:`shell`'s enumeration order.
+    """The word at position ``index`` of the shell of the given length.
 
-    The index is read as digits, most significant first: the first letter
-    is one digit in base ``2k`` over :func:`letter_order`, and each later
-    letter is one digit in base ``2k - 1`` over the letters that do not
-    cancel the previous one.
+    This defines the order of every shell.  The index is read as digits,
+    most significant first: the first letter is one digit in base ``2k``
+    over :func:`letter_order`, and each later letter is one digit in base
+    ``2k - 1`` over the letters that do not cancel the previous one.
     """
     if not 0 <= index < shell_size(length, rank):
         raise ValueError(f"index {index} is outside the shell of length {length}")
-    order = letter_order(rank)
-    digits = []
-    for _ in range(length - 1):
-        index, digit = divmod(index, 2 * rank - 1)
-        digits.append(digit)
-    letters = [order[index]] if length else []
-    for digit in reversed(digits):
-        letters.append([s for s in order if s != -letters[-1]][digit])
+    order, letters = letter_order(rank), []
+    for j in range(length - 1, -1, -1):
+        digit, index = divmod(index, (2 * rank - 1) ** j)
+        # a later digit counts over the letters left once the last one's inverse is skipped
+        skip = order.index(-letters[-1]) if letters else 2 * rank
+        letters.append(order[digit + (digit >= skip)])
     return _reduced(tuple(letters), rank)
+
+
+@dataclass(frozen=True, eq=False)
+class Shell(Sequence):
+    """The words at ``indices`` of the shell of length ``length``, built on access.
+
+    A shell is a set of indices in :func:`word_at` order: ``range(size)``
+    for a whole shell, any sequence of distinct indices for a sampled one.
+    Items are unranked by :func:`word_at`; the view equals any sequence of
+    the same words in the same order.  Count a whole shell with
+    :func:`shell_size`: ``len()`` overflows beyond ``sys.maxsize``.
+    """
+
+    length: int
+    rank: int
+    indices: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Shell(self.length, self.rank, self.indices[i])
+        return word_at(self.length, self.rank, self.indices[i])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def labels(self) -> list[str]:
+        """``str(w)`` of every word, with no :class:`Word` built for a whole shell."""
+        if self.indices == range(shell_size(self.length, self.rank)):
+            return shell_labels(self.length, self.rank)
+        return [str(w) for w in self]
+
+
+def shell(length: int, rank: int) -> Shell:
+    """All words of exactly the given length, in :func:`word_at` order."""
+    return Shell(length, rank, range(shell_size(length, rank)))
 
 
 def ball_edges(radius: int, rank: int) -> list[Word]:
@@ -348,12 +372,13 @@ def ball_edges(radius: int, rank: int) -> list[Word]:
 
 
 def sample_word(length: int, rank: int, rng: random.Random) -> Word:
-    """Uniform random reduced word of exactly the given length."""
+    """Uniform random reduced word of exactly the given length.
+
+    Draws the digits of a :func:`word_at` index, most significant first.
+    """
     _check_size("length", length, rank)
-    letters: list[int] = []
-    last = 0
-    for _ in range(length):
-        choices = [s for s in letter_order(rank) if s != -last]
-        last = rng.choice(choices)
-        letters.append(last)
-    return Word(tuple(letters), rank)
+    index = 0
+    for j in range(length):
+        base = 2 * rank - 1 if j else 2 * rank
+        index = index * base + rng.randrange(base)
+    return word_at(length, rank, index)

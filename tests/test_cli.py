@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -26,7 +27,7 @@ from treeskew.cli import (
 )
 from treeskew.parallel import BLOCK_SIZE
 from treeskew.profiles import ProfileVector
-from treeskew.words import Word, ball
+from treeskew.words import Shell, ball
 
 
 class TestConfigValidation:
@@ -175,13 +176,23 @@ class TestEnumerationLimit:
 
         def one_word(length, rank, cap, seed):
             seen.append((length, cap))
-            return (Word((1,) * length, rank),)
+            return Shell(length, rank, (0,))
 
         monkeypatch.setattr(koopman, "_shell_words", one_word)
         argv = ["decay", "--method", "exact", "--max-radius", "10", "--shell-cap", "1000000"]
         assert main(argv) == 0
         assert seen == [(length, 1_000_000) for length in range(1, 11)]
         capsys.readouterr()
+
+    def test_capped_shells_beyond_ssize_t_run(self, capsys):
+        # shell 20 at rank 5 has 1.35e19 words, more than len() of a range can count
+        argv = ["decay", "--rank", "5", "--max-radius", "20", "--shell-cap", "2"]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert len(rows) == 40
+        for radius in range(1, 21):
+            words = [row[3] for row in rows if row[2] == str(radius)]
+            assert len(set(words)) == 2 and all(len(word) == radius for word in words)
 
 
 class TestExitCodes:
@@ -248,6 +259,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not dest.exists()
 
+    def test_indicator_width_beyond_float_range_is_rejected(self, tmp_path, capsys):
+        dest = tmp_path / "f.csv"
+        assert main(["decay", "--profile", "indicator:-1e308,1e308", "--out", str(dest)]) == 2
+        assert "interval length overflows" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_gram_radius_cap(self, capsys):
         assert main(["gram", "--max-radius", "5"]) == 2
         assert "capped at 161 words; radius 5 at rank 2 has 485 words" in capsys.readouterr().err
@@ -283,6 +300,53 @@ def test_mc_decay_starts_no_thread(monkeypatch, capsys, system):
             "--max-radius", "2", "--shell-cap", "2", "--workers", "2"]
     assert main(argv) == 0
     assert capsys.readouterr().err.startswith("decay:")
+
+
+class TestPinnedStdout:
+    """SHA-256 of CLI stdout at small sizes, pinned so that a refactor is checked byte for byte.
+
+    ``hs`` and Gaussian Monte Carlo are left out: their bits depend on
+    LAPACK and on numpy's normal sampler.  A change that means to alter
+    one of these outputs updates its digest and says why in CHANGES.md.
+    """
+
+    O = ["--system", "orientation", "--p", "0.7"]
+    G = ["--system", "gaussian"]
+    N = ["--n", "10,100,1000,10000000"]
+    DIGESTS = {
+        "exact-orientation": (
+            ["decay", *O, "--profile", "gaussian", "--max-radius", "5", "--shell-cap", "100000"],
+            "f0eb08c7ad2cbe0792d65406125146e13fbf963ae2daf3456de35c60f39e13b0"),
+        "exact-gaussian": (
+            ["decay", *G, "--profile", "window:25", "--max-radius", "5", "--shell-cap", "100000"],
+            "4008dafa6301f16d61969f7e28aeaaab2ab7ee6e1d34c96ab9010032d74066b6"),
+        "cauchy-capped": (
+            ["decay", *G, "--profile", "cauchy", "--max-radius", "6", "--shell-cap", "5",
+             "--seed", "3"],
+            "084a0a1aabd9e2c87c11223815ce33506841aa275c20b53e36bda602f38c7ddd"),
+        "rank-27": (
+            ["decay", "--rank", "27", "--max-radius", "2"],
+            "9df873c7978d2d44eee1538b5348428a2b39bd9c97284e9c2830824e72940265"),
+        "window-orientation": (
+            ["window", *O, "--max-radius", "20", *N],
+            "5d24d1dd19af04a309ef7b14f7a14c34aa21ace4b2b6f79a5182d7e2344f5bdb"),
+        "window-gaussian": (
+            ["window", *G, "--max-radius", "20", *N],
+            "ace3acdb80a799be22e18d0e9cd99b8e3b59ed6f2c40638c04a39a646be6e0cc"),
+        "mc-orientation": (
+            ["decay", *O, "--profile", "gaussian", "--method", "mc", "--samples", "3000",
+             "--max-radius", "4", "--shell-cap", "3", "--seed", "5"],
+            "c36cb6b0024d7a24e47e7130df9ef5bc205a10a170a96aea994a6495d93b4cae"),
+        "gram": (
+            ["gram", "--max-radius", "3"],
+            "8a541e04be8978c50e8e41ae395283507b0733a6bdc1ecd1462f60b4d3f10fe3"),
+    }
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_stdout_digest(self, capsys, name):
+        argv, digest = self.DIGESTS[name]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def run_to_file(argv, path):

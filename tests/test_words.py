@@ -6,6 +6,7 @@ import pytest
 from conftest import random_letters
 from treeskew.rng import fingerprint_letters
 from treeskew.words import (
+    Shell,
     Word,
     act_on_edge,
     ball,
@@ -15,6 +16,7 @@ from treeskew.words import (
     distance,
     edge_fingerprint,
     geodesic,
+    letter_order,
     parse_word,
     sample_word,
     shell,
@@ -342,22 +344,33 @@ class TestEnumeration:
                 assert hash(v) == hash(Word(v.letters, rank))
                 assert len(v) == length
 
-    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 27])
     def test_word_at_unranks_the_shell_order(self, rank):
-        for length in range(6):
+        # shell_labels builds its labels from their parents' labels, with no
+        # unranking, so it is an independent check of word_at's order
+        for length in range(6 if rank < 27 else 3):
             size = shell_size(length, rank)
-            assert [word_at(length, rank, i) for i in range(size)] == shell(length, rank)
+            labels = [str(word_at(length, rank, i)) for i in range(size)]
+            assert shell_labels(length, rank) == labels
             with pytest.raises(ValueError, match="outside the shell"):
                 word_at(length, rank, size)
         with pytest.raises(ValueError, match="outside the shell"):
             word_at(3, rank, -1)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_shell_order_is_lexicographic_in_letter_order(self, rank):
+        position = {s: i for i, s in enumerate(letter_order(rank))}
+        for length in range(5):
+            keys = [[position[s] for s in v.letters] for v in shell(length, rank)]
+            assert keys == sorted(keys)
+
     @pytest.mark.parametrize("rank,max_length", [(1, 6), (2, 6), (3, 6), (27, 3)])
     def test_shell_labels_print_the_shell(self, rank, max_length):
-        # labels are built as strings from their parents' labels; above
-        # rank 26 a word prints as indexed tokens
+        # a whole shell prints from shell_labels; any other view prints its words
         for length in range(max_length + 1):
-            assert shell_labels(length, rank) == [str(v) for v in shell(length, rank)]
+            whole = shell(length, rank)
+            assert whole.labels() == [str(v) for v in whole]
+            assert whole[::-1].labels() == [str(v) for v in whole][::-1]
         with pytest.raises(ValueError, match="length"):
             shell_labels(-1, rank)
 
@@ -386,7 +399,34 @@ class TestEnumeration:
         assert words == [v for r in range(5) for v in shell(r, 2)]
 
 
+class TestShell:
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_shell_view_reads_as_the_tuple_of_its_words(self, cap):
+        indices = range(36) if cap is None else tuple(random.Random(5).sample(range(36), cap))
+        view = Shell(3, 2, indices)
+        words = tuple(view)
+        assert len(words) == (36 if cap is None else cap)
+        assert view == words and words == view and hash(view) == hash(words)
+        assert view != words[:-1] and view != words[::-1]
+        assert view[1:3] == words[1:3] and view[-1] == words[-1]
+        assert view.labels() == [str(v) for v in words]
+        # a slice is a Shell, as a one-word Monte Carlo point holds it
+        assert view[2:3].labels() == [str(words[2])]
+
+
 class TestSampling:
+    @pytest.mark.parametrize(
+        "rank,seed,expected",
+        [(1, 0, ["1", "A", "AAAAAA"]), (1, 7, ["1", "A", "aaaaaa"]),
+         (2, 0, ["1", "B", "BabAAA"]), (2, 7, ["1", "A", "bbAbaB"]),
+         (3, 0, ["1", "A", "AbcBBB"]), (3, 7, ["1", "c", "bAbaCa"])],
+    )
+    def test_pinned_draws(self, rank, seed, expected):
+        # one stream draws lengths 0, 1 and 6, so each word also pins the
+        # draws taken before it
+        rng = random.Random(seed)
+        assert [str(sample_word(length, rank, rng)) for length in (0, 1, 6)] == expected
+
     def test_requested_length(self):
         rng = random.Random(59)
         for length in (0, 1, 5, 12):
