@@ -223,7 +223,8 @@ def cmd_decay(config: ExperimentConfig) -> int:
         emit_csv(curve, fh)
     last = [pt for pt in curve.points if pt.radius == config.max_radius]
     last_count = sum(len(pt.words) for pt in last)
-    last_mean = math.fsum(len(pt.words) * pt.estimate.value for pt in last) / last_count
+    # weights below 1 keep each term, and so the sum, within the range of the values
+    last_mean = math.fsum(len(pt.words) / last_count * pt.estimate.value for pt in last)
     print(
         f"decay: {system.label()} {profile.label()} shells=1..{config.max_radius} "
         f"points={sum(len(pt.words) for pt in curve.points)} last_mean={last_mean:.6g}",

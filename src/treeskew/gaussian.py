@@ -29,14 +29,18 @@ cross-check.
 owns the exact kernel means at ``sigma = sqrt(|g|)``, the capped-shift
 mean ``E[min(|X|, w)] = sigma sqrt(2/pi) - 2 E[(X - w)+]`` to which the
 window defect and the symmetric difference both reduce, its a priori
-bound and the Monte Carlo draws.
+bound and the Monte Carlo draws.  Those draws depend on a word only
+through its length, so a sweep reads one normal block per block of draws
+from the ``PCG64(seed)`` stream and scales it by ``sqrt(|g|)`` for every
+length, which is bit for bit what a stream restarted for each length
+gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from ._np import np
 from .numerics import check_interval, expected_excess, gaussian_expectation, interval_overlap
@@ -88,10 +92,21 @@ class GaussianMeasure:
         """``E|X| = sigma sqrt(2/pi)`` at the ball's largest ``sigma = sqrt(radius)``."""
         return math.sqrt(radius) * _SQRT_2_OVER_PI
 
-    def sampler(self, g: Word, seed: int) -> Callable[[int, int], np.ndarray]:
-        """``sqrt(|g|)`` times one sequential ``PCG64(seed)`` normal stream, read in block order."""
-        rng, sigma = np.random.Generator(np.random.PCG64(seed)), math.sqrt(len(g))
-        return lambda lo, hi: sigma * rng.standard_normal(hi - lo)
+    def sampler(self, words: Iterable[Word], seed: int, kernel: Callable) -> Callable:
+        """``kernel(sqrt(|g|) z)`` for each word, from one normal block ``z`` per block of draws.
+
+        ``z`` is read from one sequential ``PCG64(seed)`` stream in block
+        order, so each word's draws are ``sqrt(|g|)`` times that stream, bit
+        for bit what a stream of its own would give.
+        """
+        rng = np.random.Generator(np.random.PCG64(seed))
+        sigmas = [math.sqrt(len(g)) for g in words]
+
+        def draws(lo: int, hi: int) -> Iterator[np.ndarray]:
+            z = rng.standard_normal(hi - lo)
+            return (kernel(sigma * z) for sigma in sigmas)
+
+        return draws
 
 
 @dataclass

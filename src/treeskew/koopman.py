@@ -33,6 +33,13 @@ a ball, and Monte Carlo draws.  This module holds only the measurement
 protocol: exact routes come first, and Monte Carlo is the independent
 cross-check, streamed in fixed-size blocks (:mod:`treeskew.parallel`) so
 that memory stays bounded and results are bit-identical for a fixed seed.
+A Monte Carlo sweep is one loop over those blocks for all of its points,
+and :func:`coefficient` with ``method="mc"`` is its one-point case.  The
+system's sampler draws each block once for every point, sharing what the
+points share (the seeds and prefix edges of orientation words, the normal
+block of the Gaussian system), and each point's block moments are merged
+in block order on their own, so a point's bits do not depend on the other
+points of its sweep.
 
 A decay point covers the words that share one computation: a whole
 sampled shell for the exact and quadrature routes, and for Monte Carlo on
@@ -49,16 +56,17 @@ CSV schemas (all reals printed with 17 significant digits):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from ._np import np
 from .gaussian import GaussianMeasure
 from .orientation import OrientationMeasure
-from .parallel import block_moments, map_blocks, mean_stderr
+from .parallel import block_bounds, block_moments, mean_stderr, merge_moments
 from .profiles import ProfileVector, UnsupportedProfileError, check_window_size
 from .words import Shell, Word, shell, shell_size
 
@@ -127,12 +135,22 @@ def _check_rank(system: System, g: Word) -> None:
         raise ValueError(f"rank mismatch: word has {g.rank}, system has {system.rank}")
 
 
-def _mc_estimate(system: System, g: Word, budget: Optional[MCBudget], kernel):
-    """Monte Carlo mean of ``kernel(shift)`` over the system's draws of the shift of ``g``."""
-    budget = budget or MCBudget()
-    draws = system.sampler(g, budget.seed)
-    parts = map_blocks(lambda lo, hi: block_moments(kernel(draws(lo, hi))), budget.samples)
-    return CoefficientEstimate(*mean_stderr(parts), "monte-carlo", budget.samples, budget.seed)
+def _mc_estimates(system: System, points: Sequence[Sequence[Word]], budget, kernel) -> list:
+    """Monte Carlo means of ``kernel(shift)``, one per point, in one loop over sample blocks.
+
+    A point is estimated from the draws of its first word.  Each block is
+    drawn once for all the points by the system's ``sampler``, which draws
+    what their words share only once, and each point's block moments are
+    merged in block order, so a point's estimate is the same whatever other
+    points share the loop.
+    """
+    mc = budget or MCBudget()
+    draws = system.sampler((words[0] for words in points), mc.seed, kernel)
+    acc = [(0, 0.0, 0.0)] * len(points)
+    for lo, hi in block_bounds(mc.samples):
+        # map reduces each point's values as they come, so one array is held at a time
+        acc = list(map(merge_moments, acc, map(block_moments, draws(lo, hi))))
+    return [CoefficientEstimate(*mean_stderr(a), "monte-carlo", mc.samples, mc.seed) for a in acc]
 
 
 def coefficient(
@@ -159,7 +177,7 @@ def coefficient(
     _check_method(method)
     system.check_support(xi, eta)
     if method == "mc":
-        return _mc_estimate(system, g, budget, lambda shifts: xi.correlation_array(eta, shifts))
+        return _mc_estimates(system, [(g,)], budget, lambda s: xi.correlation_array(eta, s))[0]
     seed = budget.seed if budget is not None else 0
     value, how = system.kernel_mean(xi, eta, len(g))
     return CoefficientEstimate(value, 0.0, how, 0, seed)
@@ -195,7 +213,7 @@ def symmetric_difference_mc(
     _check_rank(system, g)
     lo, hi = a.support_interval()
     width = hi - lo
-    return _mc_estimate(system, g, budget, lambda s: 2.0 * np.minimum(np.abs(s), width))
+    return _mc_estimates(system, [(g,)], budget, lambda s: 2.0 * np.minimum(np.abs(s), width))[0]
 
 
 @dataclass(frozen=True)
@@ -291,23 +309,28 @@ def decay_sweep(
 
     Shells are enumerated exhaustively when they fit under the cap and
     sampled uniformly (seeded, without replacement) otherwise.  Each point
-    is one :func:`coefficient` call for the words that share its draws.
-    The exact and quadrature routes see a word only through its length, and
-    so does Monte Carlo on the Gaussian system, so they hold one point per
-    shell.  Monte Carlo on a system whose draws read each word's own edges
-    (the orientation system) holds one point per word; there the spread
-    within a shell is a real check: any spread beyond the noise would
-    reveal a dependence on word shape beyond length.
+    is estimated for the words that share its draws.  The exact and
+    quadrature routes see a word only through its length, and so does Monte
+    Carlo on the Gaussian system, so they hold one point per shell.  Monte
+    Carlo on a system whose draws read each word's own edges (the
+    orientation system) holds one point per word; there the spread within a
+    shell is a real check: any spread beyond the noise would reveal a
+    dependence on word shape beyond length.  An exact point is one
+    :func:`coefficient` call; the Monte Carlo points are estimated together
+    in one loop over sample blocks, and each equals its own
+    ``coefficient(..., method="mc")`` call bit for bit.
     """
     _check_sweep(system, profile, max_radius, per_shell_cap, method)
     seed = budget.seed if budget is not None else 0
-    per_word = method == "mc" and system.draws_read_edges
-    points = []
-    for length in range(1, max_radius + 1):
-        words = _shell_words(length, system.rank, per_shell_cap, seed)
-        for group in ([words[i : i + 1] for i in range(len(words))] if per_word else [words]):
-            est = coefficient(system, group[0], profile, profile, budget, method)
-            points.append(DecayPoint(length, group, est))
+    groups = [_shell_words(L, system.rank, per_shell_cap, seed) for L in range(1, max_radius + 1)]
+    if method == "mc" and system.draws_read_edges:
+        groups = [shell[i : i + 1] for shell in groups for i in range(len(shell))]
+    if method == "mc":
+        kernel = functools.partial(profile.correlation_array, profile)
+        estimates = _mc_estimates(system, groups, budget, kernel)
+    else:
+        estimates = [coefficient(system, w[0], profile, profile, budget, method) for w in groups]
+    points = (DecayPoint(words.length, words, est) for words, est in zip(groups, estimates))
     return DecayCurve(system, profile, tuple(points))
 
 

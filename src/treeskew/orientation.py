@@ -23,17 +23,21 @@ exact binomial law provided by :func:`path_sum_law`.
 
 :class:`OrientationMeasure` is also the orientation system that
 :mod:`treeskew.koopman` measures: it owns the shift law's exact kernel
-mean, capped-shift mean, a priori bound and Monte Carlo draws.
+mean, capped-shift mean, a priori bound and Monte Carlo draws.  Those draws
+come from :func:`cocycle_sampler`, which serves all the words of a sweep
+from one block of draws at a time: the words share the block's seeds and
+the PRF values of their common prefix edges, and each word's values are
+bit-identical to those it would draw alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Mapping, Optional
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 
 from ._np import np
-from .parallel import map_blocks
+from .parallel import BLOCK_SIZE, block_bounds
 from .profiles import ProfileVector, UnsupportedProfileError
 from .rng import prf_bits, prf_uniform, sample_seeds_array
 from .words import Word, act_on_edge, edge_fingerprint, geodesic
@@ -109,9 +113,9 @@ class OrientationMeasure:
         """A bound on ``E|S|`` over the ball of ``radius``: ``|S| <= |g| <= radius``."""
         return float(radius)
 
-    def sampler(self, g: Word, seed: int) -> Callable[[int, int], np.ndarray]:
-        """Draws of the shift of ``g``: :func:`cocycle_sampler` on its edges."""
-        return cocycle_sampler(g, self.p, seed)
+    def sampler(self, words: Iterable[Word], seed: int, kernel: Callable) -> Callable:
+        """``kernel`` of the draws of each word's shift: :func:`cocycle_sampler` on their edges."""
+        return cocycle_sampler(words, self.p, seed, kernel)
 
 
 class Orientation:
@@ -259,23 +263,84 @@ def path_sum_law(length: int, p: float) -> PathSumLaw:
     return PathSumLaw(length, p, pmf)
 
 
-def cocycle_sampler(g: Word, p: float, seed: int) -> Callable[[int, int], np.ndarray]:
-    """The function ``(lo, hi) -> draws lo..hi-1`` of the cocycle of ``g``.
+# Edge rows mixed in one pass: the two (rows, BLOCK_SIZE) uint64 buffers,
+# 1 MiB in all, stay in a core's L2 cache.
+_MIX_ROWS = 16
+# Distinct prefix edges held by one group of words, which bounds the edge
+# counts, (rows, BLOCK_SIZE) small integers, at 512 KiB however many words.
+_GROUP_ROWS = 128
+
+
+def _prefix_groups(words: Iterable[Word]) -> Iterator[list[Word]]:
+    """Runs of consecutive words with at most ``_GROUP_ROWS`` distinct prefix edges.
+
+    A word with more edges than that makes a group of its own.
+    """
+    group, edges = [], set()
+    for g in words:
+        prefixes = {g.letters[:j] for j in range(1, len(g) + 1)}
+        if group and len(edges | prefixes) > _GROUP_ROWS:
+            yield group
+            group, edges = [], set()
+        group.append(g)
+        edges |= prefixes
+    yield group
+
+
+def _edge_rows(group: list[Word]):
+    """The distinct prefix edges of ``group``, one row each, ordered by depth.
+
+    Returns the edges' fingerprints as a column, each edge's parent row, the
+    ``(start, stop)`` rows of each depth below the first, and each word's
+    ``(row, length)``.
+    """
+    prefix = {g.letters[:j]: g.prefix(j) for g in group for j in range(1, len(g) + 1)}
+    keys = sorted(prefix, key=len)
+    row = {key: r for r, key in enumerate(keys)}
+    fps = np.array([edge_fingerprint(prefix[key]) for key in keys], dtype=np.uint64)
+    parents = np.array([row.get(key[:-1], -1) for key in keys])
+    starts = [r for r in range(1, len(keys)) if len(keys[r]) > len(keys[r - 1])] + [len(keys)]
+    members = [(row.get(g.letters, -1), len(g)) for g in group]
+    return fps[:, None], parents, list(zip(starts, starts[1:])), members
+
+
+def cocycle_sampler(words: Iterable[Word], p: float, seed: int, kernel: Callable) -> Callable:
+    """The function ``(lo, hi) -> kernel of draws lo..hi-1 of each word's cocycle``.
 
     Draw ``i`` reads the orientation with seed ``sample_seed(seed, i)`` on the
-    outward geodesic of ``g``, where every travel flag is +1, so the cocycle
-    is ``L - 2 * (edges pointing toward the base vertex)``.
+    outward geodesic of the word, where every travel flag is +1, so the
+    cocycle of a length-L word is ``L - 2c``, with ``c`` its edges pointing
+    toward the base vertex.  A block of at most ``BLOCK_SIZE`` draws computes
+    the seeds once, and the PRF of each distinct prefix edge of a group of
+    words once, ``_MIX_ROWS`` edge rows at a time into buffers that every
+    block reuses.  ``c`` is summed over the prefix tree one depth at a time,
+    and ``kernel`` is evaluated once on the ``L + 1`` shifts ``L - 2c`` and
+    gathered, so each word's values are bit-identical to ``kernel`` of its
+    own draws.  The values come out word by word, each a fresh array.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    path = geodesic(Word.identity(g.rank), g)
-    fps = np.array([edge_fingerprint(edge) for edge, _ in path], dtype=np.uint64)[:, None]
+    groups = [_edge_rows(group) for group in _prefix_groups(words)]
+    tables = {L: kernel(np.arange(L, -L - 1, -2)) for L in {L for *_, ms in groups for _, L in ms}}
     threshold = np.uint64(math.ceil(p * 2.0**53))
+    seeds = np.empty(BLOCK_SIZE, dtype=np.uint64)
+    bits, scratch = np.empty((2, _MIX_ROWS, BLOCK_SIZE), dtype=np.uint64)
+    rows = max(len(fps) for fps, *_ in groups)
+    counts = np.empty((rows, BLOCK_SIZE), dtype=np.min_scalar_type(max(tables, default=0)))
 
-    def draws(lo: int, hi: int) -> np.ndarray:
-        # one row per edge, so the count below sums whole contiguous rows
-        toward = prf_bits(sample_seeds_array(seed, lo, hi), fps) < threshold
-        return (len(fps) - 2 * toward.sum(axis=0, dtype=np.int32)).astype(np.int64)
+    def draws(lo: int, hi: int) -> Iterator[np.ndarray]:
+        m = hi - lo
+        sample_seeds_array(seed, lo, hi, out=seeds[:m])
+        for fps, parents, levels, members in groups:
+            count = counts[: len(fps), :m]
+            for r in range(0, len(fps), _MIX_ROWS):
+                k = min(_MIX_ROWS, len(fps) - r)
+                x = prf_bits(seeds[:m], fps[r : r + k], bits[:k, :m], scratch[:k, :m])
+                np.less(x, threshold, out=count[r : r + k])
+            for start, stop in levels:
+                count[start:stop] += count[parents[start:stop]]
+            for r, length in members:
+                yield tables[length][count[r]] if length else tables[0].repeat(m)
 
     return draws
 
@@ -289,5 +354,5 @@ def cocycle_samples(g: Word, p: float, seed: int, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
-    draws = cocycle_sampler(g, p, seed)
-    return np.concatenate([np.zeros(0, dtype=np.int64), *map_blocks(draws, n)])
+    draws = cocycle_sampler([g], p, seed, lambda shifts: shifts)
+    return np.concatenate([np.zeros(0, np.int64), *(next(draws(*b)) for b in block_bounds(n))])

@@ -5,7 +5,9 @@ tree edge is a pure function of the seed and the edge's fingerprint, which
 :func:`treeskew.words.edge_fingerprint` computes from the edge's far
 endpoint.  So an orientation never has to materialize more edges than are
 actually queried.  The scalar and the numpy paths share the same
-arithmetic and are bit-identical.
+arithmetic and are bit-identical.  The array forms take ``out=`` (and
+:func:`prf_bits` a ``scratch=`` buffer of the same shape), so a sampler can
+reuse its block buffers instead of allocating them per block.
 """
 
 from __future__ import annotations
@@ -30,17 +32,13 @@ def mix64(x: int) -> int:
     return x
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array."""
-    return _mix64_inplace(x.astype(np.uint64, copy=True))
-
-
-def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
+def mix64_inplace(x: np.ndarray, scratch=None) -> np.ndarray:
+    """Vectorized :func:`mix64`, in place on a uint64 array, shifting into ``scratch`` if given."""
+    t = np.empty_like(x) if scratch is None else scratch
+    for shift, factor in ((30, _MIX_A), (27, _MIX_B), (31, None)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        if factor is not None:
+            x *= np.uint64(factor)
     return x
 
 
@@ -58,16 +56,15 @@ def prf_uniform(seed: int, fingerprint: int) -> float:
     return (x >> 11) * 2.0**-53
 
 
-def prf_bits(seeds: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
+def prf_bits(seeds: np.ndarray, fingerprints: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """The 53-bit integers ``k`` with ``prf_uniform == k * 2**-53``, as uint64.
 
     Inputs broadcast as uint64 arrays.  ``prf_uniform < p`` holds exactly
-    when ``k < ceil(p * 2**53)``, so callers can compare integers.
+    when ``k < ceil(p * 2**53)``, so callers can compare integers.  ``out``
+    and ``scratch``, if given, are uint64 arrays of the broadcast shape.
     """
-    x = (np.asarray(seeds, dtype=np.uint64) * np.uint64(GOLDEN)) ^ np.asarray(
-        fingerprints, dtype=np.uint64
-    )
-    x = _mix64_inplace(x)
+    keyed = np.asarray(seeds, dtype=np.uint64) * np.uint64(GOLDEN)
+    x = mix64_inplace(np.bitwise_xor(keyed, np.asarray(fingerprints, np.uint64), out=out), scratch)
     x >>= np.uint64(11)
     return x
 
@@ -82,7 +79,8 @@ def sample_seed(base: int, index: int) -> int:
     return mix64((base + (index + 1) * GOLDEN) & MASK64)
 
 
-def sample_seeds_array(base: int, lo: int, hi: int) -> np.ndarray:
+def sample_seeds_array(base: int, lo: int, hi: int, out=None) -> np.ndarray:
     """Seeds of draws ``lo..hi-1``; matches :func:`sample_seed` bitwise."""
-    idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    return mix64_array(np.uint64(base & MASK64) + idx * np.uint64(GOLDEN))
+    x = np.multiply(np.arange(lo + 1, hi + 1, dtype=np.uint64), np.uint64(GOLDEN), out=out)
+    x += np.uint64(base & MASK64)
+    return mix64_inplace(x)

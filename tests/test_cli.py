@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -302,6 +303,29 @@ def test_mc_decay_starts_no_thread(monkeypatch, capsys, system):
     assert capsys.readouterr().err.startswith("decay:")
 
 
+class TestDecaySummary:
+    """``last_mean`` on stderr is the word-weighted mean of the last radius's values."""
+
+    def test_last_mean_of_huge_exact_values_is_finite(self, capsys):
+        # 36 rows of 2e307: weighting by the word count before dividing overflowed
+        argv = ["decay", "--system", "gaussian", "--profile", "indicator:-1e307,1e307",
+                "--max-radius", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.endswith(" last_mean=2e+307\n")
+
+    def test_last_mean_of_huge_mc_values_exits_0(self, tmp_path, capsys):
+        dest = tmp_path / "f.csv"
+        argv = ["decay", "--system", "orientation", "--profile", "indicator:-1.7e308,1e270",
+                "--max-radius", "3", "--shell-cap", "2", "--method", "mc", "--samples", "1000",
+                "--out", str(dest)]
+        assert main(argv) == 0
+        rows = csv.DictReader(io.StringIO(dest.read_text()))
+        last = [float(row["value"]) for row in rows if row["radius"] == "3"]
+        assert len(last) == 2
+        mean = float(capsys.readouterr().err.rsplit("last_mean=", 1)[1])
+        assert mean == pytest.approx(math.fsum(v / 2 for v in last), rel=1e-5)
+
+
 class TestPinnedStdout:
     """SHA-256 of CLI stdout at small sizes, pinned so that a refactor is checked byte for byte.
 
@@ -337,6 +361,11 @@ class TestPinnedStdout:
             ["decay", *O, "--profile", "gaussian", "--method", "mc", "--samples", "3000",
              "--max-radius", "4", "--shell-cap", "3", "--seed", "5"],
             "c36cb6b0024d7a24e47e7130df9ef5bc205a10a170a96aea994a6495d93b4cae"),
+        # three blocks, and shells 2..6 share the prefixes of shell 1
+        "mc-orientation-blocks": (
+            ["decay", *O, "--profile", "gaussian", "--method", "mc", "--samples", "9001",
+             "--max-radius", "6", "--shell-cap", "4", "--seed", "2"],
+            "c03b08a83d7fc3ad0746b1006ce5c8debcc403bef8cd73788aac21c663911eee"),
         "gram": (
             ["gram", "--max-radius", "3"],
             "8a541e04be8978c50e8e41ae395283507b0733a6bdc1ecd1462f60b4d3f10fe3"),

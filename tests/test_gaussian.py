@@ -159,8 +159,10 @@ class TestGaussianShiftLaw:
         assert GSYS.capped_shift_mean(4, 3.0) == sigma * root - 2.0 * expected_excess(3.0, sigma)
         assert GSYS.shift_bound(4) == sigma * root
         assert not GSYS.draws_read_edges
+        # one normal block per block of draws, scaled for every word
         stream = np.random.Generator(np.random.PCG64(6)).standard_normal(300)
-        assert GSYS.sampler(w("BABA"), 6)(0, 300).tolist() == (sigma * stream).tolist()
+        draws = list(GSYS.sampler([w("BABA"), w("a")], 6, lambda s: s)(0, 300))
+        assert [x.tolist() for x in draws] == [(sigma * stream).tolist(), stream.tolist()]
 
     def test_degenerate_density_rejected(self):
         # the length-0 law is a point mass at 0, and sigma < 0 is no law at all

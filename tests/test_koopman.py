@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 import random
@@ -24,8 +25,8 @@ from treeskew.koopman import (
     symmetric_difference_mc,
 )
 from treeskew.numerics import gaussian_expectation
-from treeskew.orientation import OrientationMeasure, cocycle_sampler
-from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr
+from treeskew.orientation import OrientationMeasure, cocycle_samples
+from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr, merge_moments
 from treeskew.profiles import ProfileVector
 from treeskew.words import Word, parse_word, shell_size
 
@@ -200,7 +201,7 @@ class TestExactRouting:
         def refuse(*args, **kwargs):
             raise AssertionError("Monte Carlo blocks ran before the profile pair check")
 
-        monkeypatch.setattr(koopman, "map_blocks", refuse)
+        monkeypatch.setattr(koopman, "block_bounds", refuse)
         xi, eta = ProfileVector.gaussian(), ProfileVector.window(3)
         for system in (OSYS, GSYS):
             with pytest.raises(ValueError, match="no correlation rule"):
@@ -245,6 +246,53 @@ class TestMonteCarlo:
         # holding the 1M draws as float64 alone would take 8 MB
         assert peak < 8 * 2**20
 
+    @staticmethod
+    def sweep_peak(cap: int) -> tuple[int, int]:
+        """Peak and kept traced bytes of an orientation MC sweep to radius 8 at ``cap``."""
+        tracemalloc.start()
+        try:
+            curve = decay_sweep(OSYS, ProfileVector.gaussian(), 8, cap,
+                                MCBudget(2 * BLOCK_SIZE + 1, 3), method="mc")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(curve.points) == 4 + 12 + 36 + 108 + 324 + min(972, cap) + 2 * cap
+        return peak, kept
+
+    def test_memory_does_not_grow_with_words(self):
+        # 1984 and then 3456 words: the sampler's block buffers are fixed in the
+        # number of words, and what a sweep holds beyond them grows less than
+        # the curve it returns, one point per word
+        peak, kept = self.sweep_peak(500)
+        peak2, kept2 = self.sweep_peak(1000)
+        assert peak < 8 * 2**20 and peak2 < 8 * 2**20
+        assert (peak2 - kept2) - (peak - kept) < kept2 - kept
+
+    @pytest.mark.parametrize("kind", ["orientation-0.3", "orientation-0.7", "gaussian"])
+    @pytest.mark.parametrize(
+        "profile",
+        [ProfileVector.window(3), ProfileVector.indicator(-2.0, 1.5), ProfileVector.gaussian()],
+        ids=["window", "indicator", "gaussian"],
+    )
+    def test_sweep_points_are_their_own_coefficients(self, kind, profile):
+        # one block loop draws every point of a sweep, sharing seeds, prefix
+        # edges and normal blocks; each point still gets the bits of its own
+        # coefficient call.  Whole rank-2 shells share every prefix, and the
+        # capped rank-3 sweep shares the words of shell 1.
+        budget = MCBudget(2 * BLOCK_SIZE + 1, 5)
+        for rank, radius, cap in ((2, 4, None), (3, 5, 9)):
+            if kind == "gaussian":
+                system = GaussianMeasure(rank)
+            else:
+                system = OrientationMeasure(float(kind.split("-")[1]), rank)
+            curve = decay_sweep(system, profile, radius, cap, budget, method="mc")
+            for pt in curve.points:
+                for word in {pt.words[0], pt.words[-1]}:
+                    one = coefficient(system, word, profile, profile, budget, "mc")
+                    assert pt.estimate.value.hex() == one.value.hex()
+                    assert pt.estimate.stderr.hex() == one.stderr.hex()
+                    assert pt.estimate == one
+
     @pytest.mark.parametrize("system", [OSYS, GSYS])
     def test_worker_count_invisible_across_blocks(self, system):
         # a rerun repeats every bit, and the blocked estimate is the ordered
@@ -256,13 +304,14 @@ class TestMonteCarlo:
         )
         assert (one.value, one.stderr) == (two.value, two.stderr)
         if isinstance(system, OrientationMeasure):
-            shifts = cocycle_sampler(g, system.p, 8)(0, n)
+            shifts = cocycle_samples(g, system.p, 8, n)
         else:
             shifts = math.sqrt(len(g)) * np.random.Generator(np.random.PCG64(8)).standard_normal(n)
         kernel = win.correlation_array(win, shifts)
         blocks = [block_moments(kernel[lo : lo + BLOCK_SIZE]) for lo in range(0, n, BLOCK_SIZE)]
         assert len(blocks) == 3
-        assert (one.value, one.stderr) == mean_stderr(blocks)
+        merged = functools.reduce(merge_moments, blocks, (0, 0.0, 0.0))
+        assert (one.value, one.stderr) == mean_stderr(merged)
 
     def test_reproducible_and_worker_invariant(self):
         win = ProfileVector.window(2)
@@ -475,6 +524,7 @@ class TestDecaySweep:
             raise AssertionError("a coefficient was evaluated before the shell check")
 
         monkeypatch.setattr(koopman, "coefficient", refuse)
+        monkeypatch.setattr(koopman, "_mc_estimates", refuse)
         for method in ("mc", "exact"):
             with pytest.raises(ValueError, match="length 11 has 236196 words"):
                 decay_sweep(OSYS, ProfileVector.gaussian(), 12, budget=MCBudget(10), method=method)
@@ -530,16 +580,16 @@ class TestDecaySweep:
         # Gaussian draws depend on a word only through its length, so one
         # estimate covers the whole sampled shell
         lengths = []
-        real = koopman._mc_estimate
+        real = koopman._mc_estimates
 
-        def counted(system, g, *args):
-            lengths.append(len(g))
-            return real(system, g, *args)
+        def counted(system, points, *args):
+            lengths.append([len(words[0]) for words in points])
+            return real(system, points, *args)
 
-        monkeypatch.setattr(koopman, "_mc_estimate", counted)
+        monkeypatch.setattr(koopman, "_mc_estimates", counted)
         prof, budget = ProfileVector.gaussian(), MCBudget(5_000, seed=3)
         curve = decay_sweep(GSYS, prof, 3, 3, budget, method="mc")
-        assert lengths == [1, 2, 3]
+        assert lengths == [[1, 2, 3]]
         assert [pt.radius for pt in curve.points] == [1, 2, 3]
         assert [len(set(pt.words)) for pt in curve.points] == [3, 3, 3]
         for pt in curve.points:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -19,10 +20,10 @@ from treeskew.orientation import (
     pushforward,
     skew_step,
 )
-from treeskew.parallel import BLOCK_SIZE
+from treeskew.parallel import BLOCK_SIZE, block_bounds
 from treeskew.profiles import ProfileVector
 from treeskew.rng import sample_seed
-from treeskew.words import Word, ball_edges, parse_word
+from treeskew.words import Word, ball_edges, parse_word, shell
 
 MEASURE = OrientationMeasure(0.7)
 
@@ -68,7 +69,8 @@ class TestMeasure:
         assert MEASURE.shift_bound(5) == 5.0
         assert MEASURE.draws_read_edges
         g = w("abA")
-        assert MEASURE.sampler(g, 4)(0, 300).tolist() == cocycle_sampler(g, 0.7, 4)(0, 300).tolist()
+        draws = MEASURE.sampler([g], 4, lambda s: s)(0, 300)
+        assert [x.tolist() for x in draws] == [cocycle_samples(g, 0.7, 4, 300).tolist()]
 
 
 class TestOrientationValues:
@@ -336,11 +338,30 @@ class TestCocycleSamples:
         g, n = w("abab"), 2 * BLOCK_SIZE + 1
         blocked = cocycle_samples(g, 0.6, 5, n)
         assert np.array_equal(cocycle_samples(g, 0.6, 5, n), blocked)
-        draws = cocycle_sampler(g, 0.6, 5)
-        assert np.array_equal(draws(0, n), blocked)
+        draws = cocycle_sampler([g], 0.6, 5, lambda s: s)
         cuts = [0, 100, BLOCK_SIZE + 7, n]
-        split = np.concatenate([draws(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        split = np.concatenate([x for lo, hi in zip(cuts, cuts[1:]) for x in draws(lo, hi)])
         assert np.array_equal(split, blocked)
+        with pytest.raises(ValueError):  # a block holds at most BLOCK_SIZE draws
+            next(draws(0, n))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [ProfileVector.window(3), ProfileVector.indicator(-2.0, 1.5), ProfileVector.gaussian()],
+        ids=["window", "indicator", "gaussian"],
+    )
+    def test_kernel_table_gather_is_bitwise(self, profile):
+        # the kernel is evaluated once per shift L - 2c and gathered; that must
+        # give the bits of the kernel of each word's own draws.  Shell 4 alone
+        # has more prefix edges (160) than one group of words holds.
+        words = [Word.identity(2), w("abAB"), w("BaBaBaBaBaBa"), *shell(4, 2)]
+        n, p, seed = 2 * BLOCK_SIZE + 1, 0.3, 9
+        kernel = functools.partial(profile.correlation_array, profile)
+        draws = cocycle_sampler(words, p, seed, kernel)
+        for lo, hi in block_bounds(n):
+            for g, values in zip(words, draws(lo, hi), strict=True):
+                shifts = cocycle_samples(g, p, seed, hi)[lo:hi]
+                assert values.tobytes() == kernel(shifts).tobytes()
 
     def test_parity_and_range(self):
         g = w("ababa")

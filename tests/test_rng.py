@@ -6,7 +6,7 @@ from treeskew.rng import (
     MASK64,
     fingerprint_letters,
     mix64,
-    mix64_array,
+    mix64_inplace,
     prf_uniform,
     prf_uniform_array,
     sample_seed,
@@ -25,7 +25,8 @@ def test_mix64_scalar_vector_agree():
     rng = random.Random(5)
     xs = np.array([rng.getrandbits(64) for _ in range(500)], dtype=np.uint64)
     expected = np.array([mix64(int(x)) for x in xs], dtype=np.uint64)
-    assert np.array_equal(mix64_array(xs), expected)
+    assert np.array_equal(mix64_inplace(xs.copy()), expected)
+    assert np.array_equal(mix64_inplace(xs.copy(), scratch=np.empty_like(xs)), expected)
 
 
 def test_mix64_bijective_on_sample():
