@@ -11,10 +11,23 @@ coefficient ``<U xi, xi>`` is real the right side is the familiar
 ``2 (1 - <U xi, xi>^2)``; the modulus form is the one that survives
 complex unitaries.  Everything is dense complex linear algebra at
 dimensions a bench can afford.
+
+The operator types and functions, all but :func:`hs_coefficient` and
+``HSOperator.hs_norm``, take leading stack axes: a ``(..., dim, dim)``
+array is a stack of matrices and a ``(..., dim)`` array a stack of
+vectors.  A stack's scalars come back as an array, and a single
+operand's as a Python scalar.  :func:`projection_defect_trials` uses this to run its
+trials in chunks of :data:`CHUNK`, one stacked pass per dimension.  A
+chunk draws all its normals with one call, at the stream positions the
+trial-by-trial draws take, and every stacked form used here (QR, ``@`` on
+stacks, sums over the last two axes, dot products as ``(1, n) @ (n, 1)``
+products) gives each matrix the bits its own call gives it, so the trials
+are those of a loop that draws and evaluates one trial at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -22,6 +35,7 @@ from typing import Callable, Iterator
 from ._np import np
 
 __all__ = [
+    "CHUNK",
     "HSOperator",
     "FiniteUnitary",
     "inner",
@@ -37,18 +51,40 @@ __all__ = [
 ]
 
 
+# Trials per stacked pass: eight cycles of the 15 dimensions 2..16.  Memory
+# follows this size, not the trial count.
+CHUNK = 120
+_DIMS = range(2, 17)
+# Offsets of each dimension's normals in a cycle of trials: a trial of
+# dimension d draws 2 d^2 for its matrix, then 2 d for its vector.
+_OFFSETS = list(itertools.accumulate((2 * d * (d + 1) for d in _DIMS), initial=0))
+
+
+def _unstack(x: np.ndarray):
+    """A single operand's 0-d result as a Python scalar; a stack's as an array."""
+    return x.item() if x.ndim == 0 else x
+
+
 def _as_square_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def _norm(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm's own sum, x.real . x.real + x.imag . x.imag on the
+    # strided views, as (1, n) @ (n, 1) products so that stacks run too
+    re, im = x.real, x.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class HSOperator:
-    """A dense operator on C^dim with the Hilbert-Schmidt inner product."""
+    """A dense operator on C^dim, or a stack of them, with the Hilbert-Schmidt inner product."""
 
     matrix: np.ndarray
 
@@ -57,10 +93,10 @@ class HSOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
-    def hs_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+    def hs_norm_sq(self) -> float | np.ndarray:
+        return _unstack(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
 
     def hs_norm(self) -> float:
         return math.sqrt(self.hs_norm_sq())
@@ -68,25 +104,27 @@ class HSOperator:
 
 @dataclass(frozen=True, eq=False)
 class FiniteUnitary:
-    """A matrix verified unitary to 1e-10 at construction."""
+    """A matrix, or a stack of them, each verified unitary to 1e-10 at construction."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        defect = np.max(np.abs(m.conj().mT @ m - np.eye(m.shape[-1])))
         if defect > 1e-10:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> complex:
+def inner(x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
     """``<x, y> = sum x_i conj(y_i)`` (linear in the first argument)."""
-    return complex(np.vdot(y, x))
+    x, y = np.asarray(x, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
+    # np.vdot(y, x), as a (1, n) @ (n, 1) product
+    return _unstack((y.conj()[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 def rank_one(xi, xi_out) -> HSOperator:
@@ -97,55 +135,77 @@ def rank_one(xi, xi_out) -> HSOperator:
     """
     a = np.asarray(xi, dtype=np.complex128)
     b = np.asarray(xi_out, dtype=np.complex128)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+    if a.ndim < 1 or a.shape != b.shape:
         raise ValueError("rank_one expects two vectors of equal dimension")
-    return HSOperator(np.outer(b, a.conj()))
+    return HSOperator(b[..., :, None] * a.conj()[..., None, :])
 
 
 def adjoint_act(u: FiniteUnitary, op: HSOperator) -> HSOperator:
     """``U T U*``; an HS-norm isometry."""
     if u.dim != op.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {op.dim}")
-    return HSOperator(u.matrix @ op.matrix @ u.matrix.conj().T)
+    return HSOperator(u.matrix @ op.matrix @ u.matrix.conj().mT)
 
 
-def projection_defect(u: FiniteUnitary, xi) -> float:
+def projection_defect(u: FiniteUnitary, xi) -> float | np.ndarray:
     """``|| U P U* - P ||_HS^2`` for the projection ``P`` onto a unit vector.
 
     Must equal ``2 (1 - |<U xi, xi>|^2)``; see
     :func:`projection_defect_formula` for that route.
     """
     x = np.asarray(xi, dtype=np.complex128)
-    norm = float(np.linalg.norm(x))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"projection_defect needs a unit vector, |xi| = {norm!r}")
+    norm = _norm(x)
+    off = np.abs(norm - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(
+            f"projection_defect needs a unit vector, |xi| = {norm[off].flat[0].item()!r}"
+        )
     p = rank_one(x, x)
-    return float(np.sum(np.abs(adjoint_act(u, p).matrix - p.matrix) ** 2))
+    return HSOperator(adjoint_act(u, p).matrix - p.matrix).hs_norm_sq()
 
 
-def projection_defect_formula(u: FiniteUnitary, xi) -> float:
+def projection_defect_formula(u: FiniteUnitary, xi) -> float | np.ndarray:
     """The scalar route ``2 (1 - |<U xi, xi>|^2)``."""
     x = np.asarray(xi, dtype=np.complex128)
-    c = inner(u.matrix @ x, x)
-    return 2.0 * (1.0 - (c * c.conjugate()).real)
+    c = inner((u.matrix @ x[..., None])[..., 0], x)
+    # the bits of Python's (c * c.conjugate()).real, on arrays too
+    return 2.0 * (1.0 - (c.real * c.real + c.imag * c.imag))
 
 
 def projection_defect_trials(
-    count: int, seed: int, defect: Callable[..., float]
+    count: int, seed: int, defect: Callable
 ) -> Iterator[tuple[int, int, float, float]]:
     """Yield ``(trial, dim, defect, formula)`` for ``count`` random unitaries.
 
     Trial ``t`` draws a unitary and a unit vector of dimension
     ``2 + t % 15`` from one ``PCG64(seed)`` stream, then evaluates the given
     defect route (:func:`projection_defect`, or an injected fault) and
-    :func:`projection_defect_formula` on them.
+    :func:`projection_defect_formula` on them.  The trials run in chunks of
+    :data:`CHUNK`: a chunk draws its normals with one call into a reused
+    buffer, then hands each route one stack per dimension.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    for trial in range(count):
-        dim = 2 + trial % 15
-        u = random_unitary(dim, rng)
-        xi = random_unit_vector(dim, rng)
-        yield trial, dim, defect(u, xi), projection_defect_formula(u, xi)
+    cycles = CHUNK // len(_DIMS)
+    normals = np.empty((cycles, _OFFSETS[-1]))
+    values = np.empty((2, cycles, len(_DIMS)))
+    for lo in range(0, count, CHUNK):
+        n = min(CHUNK, count - lo)
+        whole, extra = divmod(n, len(_DIMS))
+        rng.standard_normal(out=normals.reshape(-1)[: whole * _OFFSETS[-1] + _OFFSETS[extra]])
+        for j, dim in enumerate(_DIMS):
+            m, sq = whole + (j < extra), dim * dim
+            if not m:
+                break
+            draws = normals[:m, _OFFSETS[j] : _OFFSETS[j + 1]]
+            u = _haar_unitary(
+                draws[:, :sq].reshape(m, dim, dim), draws[:, sq : 2 * sq].reshape(m, dim, dim)
+            )
+            xi = _unit_vector(draws[:, 2 * sq : 2 * sq + dim], draws[:, 2 * sq + dim :])
+            values[0, :m, j] = defect(u, xi)
+            values[1, :m, j] = projection_defect_formula(u, xi)
+        rows = zip(values[0].reshape(-1)[:n].tolist(), values[1].reshape(-1)[:n].tolist())
+        for k, (value, formula) in enumerate(rows):
+            yield lo + k, 2 + k % len(_DIMS), value, formula
 
 
 def hs_coefficient(t1: HSOperator, t2: HSOperator, u: FiniteUnitary) -> complex:
@@ -160,17 +220,25 @@ def hs_coefficient(t1: HSOperator, t2: HSOperator, u: FiniteUnitary) -> complex:
     return complex(np.trace(t1.matrix.conj().T @ adjoint_act(u, t2).matrix))
 
 
+def _haar_unitary(re: np.ndarray, im: np.ndarray) -> FiniteUnitary:
+    """The phase-fixed Q factor of ``re + i im``, matrix by matrix over a stack."""
+    q, r = np.linalg.qr(re + 1j * im)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return FiniteUnitary(q * (d / np.abs(d))[..., None, :])
+
+
+def _unit_vector(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    v = re + 1j * im
+    return v / _norm(v)[..., None]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> FiniteUnitary:
     """Haar-ish unitary from QR of a complex Gaussian matrix (phase-fixed)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return FiniteUnitary(q * (d / np.abs(d)))
+    return _haar_unitary(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _unit_vector(rng.standard_normal(dim), rng.standard_normal(dim))
 
 
 def rotation_unitary(theta: float) -> FiniteUnitary:

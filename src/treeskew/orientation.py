@@ -39,8 +39,8 @@ from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 from ._np import np
 from .parallel import BLOCK_SIZE, block_bounds
 from .profiles import ProfileVector, UnsupportedProfileError
-from .rng import prf_bits, prf_uniform, sample_seeds_array
-from .words import Word, act_on_edge, edge_fingerprint, geodesic
+from .rng import fingerprint_letters, prf_bits, prf_uniform, sample_seeds_array
+from .words import Word, _edge_key, act_on_edge, edge_fingerprint, geodesic
 
 __all__ = [
     "OrientationMeasure",
@@ -294,10 +294,14 @@ def _edge_rows(group: list[Word]):
     ``(start, stop)`` rows of each depth below the first, and each word's
     ``(row, length)``.
     """
-    prefix = {g.letters[:j]: g.prefix(j) for g in group for j in range(1, len(g) + 1)}
-    keys = sorted(prefix, key=len)
+    keys = sorted({g.letters[:j] for g in group for j in range(1, len(g) + 1)}, key=len)
     row = {key: r for r, key in enumerate(keys)}
-    fps = np.array([edge_fingerprint(prefix[key]) for key in keys], dtype=np.uint64)
+    # parents come first, so each vertex fingerprint extends its parent's by
+    # one letter: two mix64 calls per distinct edge
+    vertex = {(): fingerprint_letters(())}
+    for key in keys:
+        vertex[key] = fingerprint_letters(key[-1:], vertex[key[:-1]])
+    fps = np.array([_edge_key(vertex[key[:-1]], key[-1]) for key in keys], dtype=np.uint64)
     parents = np.array([row.get(key[:-1], -1) for key in keys])
     starts = [r for r in range(1, len(keys)) if len(keys[r]) > len(keys[r - 1])] + [len(keys)]
     members = [(row.get(g.letters, -1), len(g)) for g in group]

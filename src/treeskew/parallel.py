@@ -40,8 +40,14 @@ def merge_moments(acc: tuple, block: tuple) -> tuple[int, float, float]:
     """The moments of ``acc``'s samples followed by ``block``'s, by the pairwise update.
 
     A running merge starts from the moments of no samples, ``(0, 0.0, 0.0)``.
+    Merged into those, a block keeps its own moments (``0.0 + mb`` is the
+    update's mean, bit for bit): the update would square the block's mean
+    and scale it by the empty count, which is ``inf * 0``, so ``nan``, once
+    the mean passes about 1.3e154.
     """
     (n, mean, m2), (nb, mb, m2b) = acc, block
+    if not n:
+        return nb, 0.0 + mb, m2b
     delta, n = mb - mean, n + nb
     return n, mean + delta * (nb / n), m2 + (m2b + delta * delta * (n - nb) * (nb / n))
 

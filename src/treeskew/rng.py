@@ -42,9 +42,12 @@ def mix64_inplace(x: np.ndarray, scratch=None) -> np.ndarray:
     return x
 
 
-def fingerprint_letters(letters) -> int:
-    """64-bit fingerprint of a letter sequence (order-sensitive)."""
-    h = _FP_SALT
+def fingerprint_letters(letters, h: int = _FP_SALT) -> int:
+    """64-bit fingerprint of a letter sequence (order-sensitive).
+
+    The fingerprint is a chain, one :func:`mix64` per letter, so passing a
+    sequence's fingerprint as ``h`` extends it by ``letters``.
+    """
     for s in letters:
         h = mix64(h ^ (s & MASK64))
     return h

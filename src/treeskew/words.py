@@ -110,10 +110,8 @@ class Word:
 
     @cached_property
     def fingerprint(self) -> int:
-        # fingerprint_letters is a chain: one more mix64 extends the parent's
-        if not self.letters:
-            return self._parent_fingerprint
-        return mix64(self._parent_fingerprint ^ (self.letters[-1] & MASK64))
+        # fingerprint_letters is a chain: one more letter extends the parent's
+        return fingerprint_letters(self.letters[-1:], self._parent_fingerprint)
 
     def __hash__(self) -> int:
         # CPython hashes -1 and -2 alike, so a hash of the letter tuple
@@ -222,7 +220,12 @@ def _check_edge(edge: Word) -> None:
 def edge_fingerprint(edge: Word) -> int:
     """64-bit fingerprint of an edge, the key its sampled values are drawn by."""
     _check_edge(edge)
-    return mix64(edge._parent_fingerprint ^ ((edge.letters[-1] & MASK64) * GOLDEN & MASK64))
+    return _edge_key(edge._parent_fingerprint, edge.letters[-1])
+
+
+def _edge_key(parent_fingerprint: int, letter: int) -> int:
+    """The fingerprint of the edge one ``letter`` below the vertex with ``parent_fingerprint``."""
+    return mix64(parent_fingerprint ^ ((letter & MASK64) * GOLDEN & MASK64))
 
 
 def act_on_edge(g: Word, edge: Word) -> tuple[Word, int]:

@@ -281,6 +281,18 @@ class TestExitCodes:
     def test_selftest_clean(self, capsys):
         assert main(["selftest", "--verbosity", "0"]) == 0
 
+    def test_unknown_selftest_fault_is_rejected_before_any_check(self, monkeypatch, capsys):
+        import treeskew.selftest
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran for an unknown fault")
+
+        monkeypatch.setattr(treeskew.selftest, "run_selftest", refuse)
+        assert main(["selftest", "--fault", "no-such-fault"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fault must be one of projection-defect-sign, got 'no-such-fault'\n"
+
     def test_selftest_fault_injection_fails(self, capsys):
         assert main(["selftest", "--fault", "projection-defect-sign"]) == 1
         out = capsys.readouterr().out
@@ -324,6 +336,24 @@ class TestDecaySummary:
         assert len(last) == 2
         mean = float(capsys.readouterr().err.rsplit("last_mean=", 1)[1])
         assert mean == pytest.approx(math.fsum(v / 2 for v in last), rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "system, profile, radius, rows",
+        [
+            ("orientation", "indicator:-1.7e308,1e270", 3, 6),
+            ("orientation", "indicator:0,1e155", 1, 1),
+            ("gaussian", "indicator:-5e16,1.5e236", 2, 2),
+        ],
+    )
+    def test_stderr_of_huge_mc_values_is_finite(self, capsys, system, profile, radius, rows):
+        # kernel values past 1.3e154 square to inf; the merge of the first
+        # block scaled that by a zero count and printed nan in every stderr
+        argv = ["decay", "--system", system, "--profile", profile, "--max-radius", str(radius),
+                "--shell-cap", str(rows // radius), "--method", "mc", "--samples", "5000"]
+        assert main(argv) == 0
+        out = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(out) == rows
+        assert all(math.isfinite(float(row[k])) for row in out for k in ("value", "stderr"))
 
 
 class TestPinnedStdout:

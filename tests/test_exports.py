@@ -77,6 +77,18 @@ print(main({MC_COMMAND!r} + ["--out", f"{{out}}/mc.csv"]), numpy_ran())
     assert _probe(probe, str(tmp_path)) == f"{[0] * len(EXACT_COMMANDS)} False\n0 True\n"
 
 
+def test_exact_work_never_loads_the_bench_or_the_selftest(tmp_path):
+    # only the hs and selftest commands import treeskew.hs and treeskew.selftest
+    probe = f"""
+import sys
+from treeskew.cli import main
+out = sys.argv[1]
+codes = [main(args + ["--out", f"{{out}}/{{i}}.csv"]) for i, args in enumerate({EXACT_COMMANDS[:3]!r})]
+print(codes, sorted(m for m in ("treeskew.hs", "treeskew.selftest") if m in sys.modules))
+"""
+    assert _probe(probe, str(tmp_path)) == "[0, 0, 0] []\n"
+
+
 @pytest.mark.parametrize(
     "probe",
     [

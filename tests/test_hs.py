@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from treeskew.hs import (
+    CHUNK,
     FiniteUnitary,
     HSOperator,
     adjoint_act,
@@ -11,6 +13,7 @@ from treeskew.hs import (
     inner,
     projection_defect,
     projection_defect_formula,
+    projection_defect_trials,
     random_unit_vector,
     random_unitary,
     rank_one,
@@ -67,7 +70,11 @@ class TestOperatorBasics:
         with pytest.raises(ValueError):
             rank_one(np.ones(3), np.ones(4))
         with pytest.raises(ValueError):
-            rank_one(np.ones((2, 2)), np.ones((2, 2)))
+            rank_one(np.ones((2, 2)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            rank_one(1.0, 1.0)
+        # a leading axis is a stack: two 2-vectors give two rank-one operators
+        assert rank_one(np.ones((2, 2)), np.ones((2, 2))).matrix.shape == (2, 2, 2)
 
 
 class TestAdjointAction:
@@ -203,3 +210,100 @@ class TestHelpers:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             FiniteUnitary(2.0 * np.eye(3))
+
+
+def _reference_trials(count, seed):
+    """The trials drawn and evaluated one at a time, as one loop over trials."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for trial in range(count):
+        dim = 2 + trial % 15
+        u = random_unitary(dim, rng)
+        xi = random_unit_vector(dim, rng)
+        yield trial, dim, projection_defect(u, xi), projection_defect_formula(u, xi)
+
+
+def _hex_rows(rows):
+    return [(t, dim, value.hex(), formula.hex()) for t, dim, value, formula in rows]
+
+
+class TestStackedTrials:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "count", [0, 1, 14, 15, 16, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
+    )
+    def test_chunks_equal_the_trial_loop_bit_for_bit(self, count, seed):
+        chunked = list(projection_defect_trials(count, seed, projection_defect))
+        assert all(type(v) is float and type(f) is float for *_, v, f in chunked)
+        assert _hex_rows(chunked) == _hex_rows(_reference_trials(count, seed))
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_single_calls_keep_the_bits_of_plain_numpy(self, seed):
+        # each helper against the numpy expression it stands for, so that the
+        # trial loop above is pinned to numpy's own QR, norm, vdot and sum
+        plain, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for dim in range(2, 17):
+            a = plain.standard_normal((dim, dim)) + 1j * plain.standard_normal((dim, dim))
+            q, r = np.linalg.qr(a)
+            q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            v = plain.standard_normal(dim) + 1j * plain.standard_normal(dim)
+            x = v / np.linalg.norm(v)
+            u, xi = random_unitary(dim, rng), random_unit_vector(dim, rng)
+            assert u.matrix.tobytes() == q.tobytes() and xi.tobytes() == x.tobytes()
+            p = np.outer(x, x.conj())
+            defect = float(np.sum(np.abs(q @ p @ q.conj().T - p) ** 2))
+            c = complex(np.vdot(x, q @ x))
+            assert projection_defect(u, xi).hex() == defect.hex()
+            assert projection_defect_formula(u, xi).hex() == (2.0 * (1.0 - (c * c.conjugate()).real)).hex()
+
+    def test_stacked_calls_equal_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        pairs = [(random_unitary(6, rng), random_unit_vector(6, rng)) for _ in range(5)]
+        u = FiniteUnitary(np.stack([v.matrix for v, _ in pairs]))
+        xi = np.stack([x for _, x in pairs])
+        p = rank_one(xi, xi[::-1])
+        stacked = [
+            projection_defect(u, xi), projection_defect_formula(u, xi),
+            p.hs_norm_sq(), inner(xi, xi[::-1]), adjoint_act(u, p).matrix,
+        ]
+        for k, (v, x) in enumerate(pairs):
+            y = pairs[-1 - k][1]
+            q = rank_one(x, y)
+            single = [
+                projection_defect(v, x), projection_defect_formula(v, x),
+                q.hs_norm_sq(), inner(x, y), adjoint_act(v, q).matrix,
+            ]
+            for got, want in zip(stacked, single):
+                assert np.asarray(got[k]).tobytes() == np.asarray(want).tobytes()
+
+    def test_one_bad_matrix_fails_the_stack(self):
+        stack = np.stack([rotation_unitary(0.1 * k).matrix for k in range(6)])
+        FiniteUnitary(stack)
+        skewed = stack.copy()
+        skewed[4, 0, 0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="unitary"):
+            FiniteUnitary(skewed)
+        broken = stack.copy()
+        broken[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            FiniteUnitary(broken)
+        with pytest.raises(ValueError, match="finite"):
+            HSOperator(broken)
+        xi = np.tile(np.array([1.0, 0.0]), (6, 1))
+        xi[3] *= 1.0 + 1e-11
+        with pytest.raises(ValueError, match="unit vector"):
+            projection_defect(FiniteUnitary(stack), xi)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one chunk's normals, 2 d (d + 1) per trial of dimension d = 2..16
+        footprint = CHUNK // 15 * sum(2 * d * (d + 1) for d in range(2, 17)) * 8
+
+        def peak(count):
+            tracemalloc.start()
+            for _ in projection_defect_trials(count, 3, projection_defect):
+                pass
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        peak(CHUNK)  # first use of the LAPACK wrappers allocates once
+        assert peak(40 * CHUNK) - peak(4 * CHUNK) < footprint

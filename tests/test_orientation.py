@@ -23,7 +23,7 @@ from treeskew.orientation import (
 from treeskew.parallel import BLOCK_SIZE, block_bounds
 from treeskew.profiles import ProfileVector
 from treeskew.rng import sample_seed
-from treeskew.words import Word, ball_edges, parse_word, shell
+from treeskew.words import Word, ball_edges, edge_fingerprint, parse_word, shell
 
 MEASURE = OrientationMeasure(0.7)
 
@@ -362,6 +362,16 @@ class TestCocycleSamples:
             for g, values in zip(words, draws(lo, hi), strict=True):
                 shifts = cocycle_samples(g, p, seed, hi)[lo:hi]
                 assert values.tobytes() == kernel(shifts).tobytes()
+
+    def test_edge_rows_carry_each_prefix_edge_fingerprint(self):
+        # the rows extend each parent's fingerprint by one letter; they must
+        # be the fingerprints of the prefix words themselves
+        words = [w("abAB"), w("abAb"), w("BaBaBaBaBaBa"), *shell(3, 2)]
+        fps, _, _, members = orientation._edge_rows(words)
+        prefixes = {g.letters[:j]: g.prefix(j) for g in words for j in range(1, len(g) + 1)}
+        assert sorted(fps[:, 0].tolist()) == sorted(map(edge_fingerprint, prefixes.values()))
+        for (row, length), g in zip(members, words):
+            assert fps[row, 0] == edge_fingerprint(g)
 
     def test_parity_and_range(self):
         g = w("ababa")

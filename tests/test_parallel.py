@@ -56,3 +56,28 @@ def test_constant_blocks_are_exact():
 
 def test_single_sample():
     assert mean_stderr(merged([block_moments(np.array([2.5]))])) == (2.5, 0.0)
+
+
+@pytest.mark.parametrize("block", [(5, 0.3, 1.2), (4, -0.0, 0.0), (7, -2.5e10, 3.0)])
+def test_first_merge_is_the_pairwise_update(block):
+    # the pairwise update from no samples, written out, in the bits it gives
+    nb, mb, m2b = block
+    delta = mb - 0.0
+    update = (nb, 0.0 + delta * (nb / nb), 0.0 + (m2b + delta * delta * 0 * (nb / nb)))
+    assert repr(merge_moments((0, 0.0, 0.0), block)) == repr(update)
+
+
+def test_means_past_the_square_root_of_float_max_stay_finite():
+    # squaring such a mean overflows; a merge from no samples then scaled
+    # inf by a zero count, and every stderr read nan
+    constant = [block_moments(np.full(k, 1.7e308)) for k in (BLOCK_SIZE, BLOCK_SIZE, 5)]
+    assert mean_stderr(merged(constant)) == (1.7e308, 0.0)
+    # offsets from the first value and between block means still square, so
+    # the spread must stay below about 1e154, as it does here
+    x = 1e156 + np.arange(3 * BLOCK_SIZE, dtype=np.float64) * 1e145
+    parts = [block_moments(x[lo:hi]) for lo, hi in block_bounds(len(x))]
+    mean, stderr = mean_stderr(merged(parts))
+    assert mean == pytest.approx(math.fsum(x / len(x)), rel=1e-12)
+    # the offsets x - x[0] are exact, and small enough for np.std
+    ref = 1e145 * float(np.std((x - x[0]) / 1e145, ddof=1)) / math.sqrt(len(x))
+    assert stderr == pytest.approx(ref, rel=1e-6)
