@@ -31,9 +31,10 @@ mean ``E[min(|X|, w)] = sigma sqrt(2/pi) - 2 E[(X - w)+]`` to which the
 window defect and the symmetric difference both reduce, its a priori
 bound and the Monte Carlo draws.  Those draws depend on a word only
 through its length, so a sweep reads one normal block per block of draws
-from the ``PCG64(seed)`` stream and scales it by ``sqrt(|g|)`` for every
-length, which is bit for bit what a stream restarted for each length
-gives.
+from the counter-addressed stream :func:`treeskew.rng.normals` and scales
+it by ``sqrt(|g|)`` for every length.  Draw ``i`` of a seed is normal ``i``
+of its stream, as orientation draw ``i`` reads the orientation with seed
+``sample_seed(seed, i)``, so any block is a pure function of its bounds.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 from ._np import np
 from .numerics import check_interval, expected_excess, gaussian_expectation, interval_overlap
 from .profiles import ProfileVector
+from .rng import normals
 from .words import Word
 
 __all__ = [
@@ -95,15 +97,14 @@ class GaussianMeasure:
     def sampler(self, words: Iterable[Word], seed: int, kernel: Callable) -> Callable:
         """``kernel(sqrt(|g|) z)`` for each word, from one normal block ``z`` per block of draws.
 
-        ``z`` is read from one sequential ``PCG64(seed)`` stream in block
-        order, so each word's draws are ``sqrt(|g|)`` times that stream, bit
-        for bit what a stream of its own would give.
+        ``z`` is normals ``lo..hi-1`` of the ``seed`` stream, so each word's
+        draws are ``sqrt(|g|)`` times that stream, and a block is the same
+        whatever blocks were drawn before it.
         """
-        rng = np.random.Generator(np.random.PCG64(seed))
         sigmas = [math.sqrt(len(g)) for g in words]
 
         def draws(lo: int, hi: int) -> Iterator[np.ndarray]:
-            z = rng.standard_normal(hi - lo)
+            z = normals(seed, lo, hi)
             return (kernel(sigma * z) for sigma in sigmas)
 
         return draws
@@ -130,11 +131,16 @@ class GaussianSystem:
         return float(np.linalg.eigvalsh(self.gram)[0])
 
     def sample_matrix(self, n: int, seed: int) -> np.ndarray:
-        """``n`` joint draws as an (n, m) array: edge normals from one ``PCG64(seed)``."""
+        """``n`` joint draws as an (n, m) array.
+
+        Draw ``i`` reads its edge normals, one per incidence column, at
+        positions ``i * columns ..`` of the ``seed`` stream of
+        :func:`treeskew.rng.normals`.
+        """
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return rng.standard_normal((n, self.incidence.shape[1])) @ self.incidence.T
+        columns = self.incidence.shape[1]
+        return normals(seed, 0, n * columns).reshape(n, columns) @ self.incidence.T
 
 
 def gram_matrix(words: Sequence[Word]) -> GaussianSystem:

@@ -18,11 +18,13 @@ array is a stack of matrices and a ``(..., dim)`` array a stack of
 vectors.  A stack's scalars come back as an array, and a single
 operand's as a Python scalar.  :func:`projection_defect_trials` uses this to run its
 trials in chunks of :data:`CHUNK`, one stacked pass per dimension.  A
-chunk draws all its normals with one call, at the stream positions the
-trial-by-trial draws take, and every stacked form used here (QR, ``@`` on
-stacks, sums over the last two axes, dot products as ``(1, n) @ (n, 1)``
-products) gives each matrix the bits its own call gives it, so the trials
-are those of a loop that draws and evaluates one trial at a time.
+chunk reads all its normals with one call, at the positions of the
+counter-addressed stream (:func:`treeskew.rng.normals`) that the
+trial-by-trial draws of a :class:`treeskew.rng.NormalStream` take, and
+every stacked form used here (QR, ``@`` on stacks, sums over the last two
+axes, dot products as ``(1, n) @ (n, 1)`` products) gives each matrix the
+bits its own call gives it, so the trials are those of a loop that draws
+and evaluates one trial at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ._np import np
+from .rng import NormalStream, normals
 
 __all__ = [
     "CHUNK",
@@ -178,25 +181,28 @@ def projection_defect_trials(
     """Yield ``(trial, dim, defect, formula)`` for ``count`` random unitaries.
 
     Trial ``t`` draws a unitary and a unit vector of dimension
-    ``2 + t % 15`` from one ``PCG64(seed)`` stream, then evaluates the given
-    defect route (:func:`projection_defect`, or an injected fault) and
-    :func:`projection_defect_formula` on them.  The trials run in chunks of
-    :data:`CHUNK`: a chunk draws its normals with one call into a reused
-    buffer, then hands each route one stack per dimension.
+    ``2 + t % 15`` from the normal stream rooted at ``seed``, as
+    :func:`random_unitary` and :func:`random_unit_vector` read a
+    :class:`treeskew.rng.NormalStream`, trial after trial.  It then
+    evaluates the given defect route (:func:`projection_defect`, or an
+    injected fault) and :func:`projection_defect_formula` on them.  The
+    trials run in chunks of :data:`CHUNK`: a chunk reads the stream
+    positions of its trials with one call into a reused buffer, then hands
+    each route one stack per dimension.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
     cycles = CHUNK // len(_DIMS)
-    normals = np.empty((cycles, _OFFSETS[-1]))
+    z = np.empty((cycles, _OFFSETS[-1]))
     values = np.empty((2, cycles, len(_DIMS)))
     for lo in range(0, count, CHUNK):
         n = min(CHUNK, count - lo)
         whole, extra = divmod(n, len(_DIMS))
-        rng.standard_normal(out=normals.reshape(-1)[: whole * _OFFSETS[-1] + _OFFSETS[extra]])
+        pos, size = lo // len(_DIMS) * _OFFSETS[-1], whole * _OFFSETS[-1] + _OFFSETS[extra]
+        normals(seed, pos, pos + size, out=z.reshape(-1)[:size])
         for j, dim in enumerate(_DIMS):
             m, sq = whole + (j < extra), dim * dim
             if not m:
                 break
-            draws = normals[:m, _OFFSETS[j] : _OFFSETS[j + 1]]
+            draws = z[:m, _OFFSETS[j] : _OFFSETS[j + 1]]
             u = _haar_unitary(
                 draws[:, :sq].reshape(m, dim, dim), draws[:, sq : 2 * sq].reshape(m, dim, dim)
             )
@@ -232,13 +238,14 @@ def _unit_vector(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return v / _norm(v)[..., None]
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> FiniteUnitary:
-    """Haar-ish unitary from QR of a complex Gaussian matrix (phase-fixed)."""
-    return _haar_unitary(rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)))
+def random_unitary(dim: int, stream: NormalStream) -> FiniteUnitary:
+    """Haar unitary from QR of a complex Gaussian matrix (phase-fixed), read from ``stream``."""
+    return _haar_unitary(stream.take(dim, dim), stream.take(dim, dim))
 
 
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _unit_vector(rng.standard_normal(dim), rng.standard_normal(dim))
+def random_unit_vector(dim: int, stream: NormalStream) -> np.ndarray:
+    """A uniform unit vector of C^dim: a complex Gaussian vector read from ``stream``, normalised."""
+    return _unit_vector(stream.take(dim), stream.take(dim))
 
 
 def rotation_unitary(theta: float) -> FiniteUnitary:

@@ -26,13 +26,14 @@ A system is the law of its shift, and each owns its rules:
 :class:`treeskew.orientation.OrientationMeasure` (the binomial path-sum
 law, with draws from the edge PRF) and
 :class:`treeskew.gaussian.GaussianMeasure` (``N(0, |g|)``, with the
-erf/quadrature closed forms and one ``PCG64(seed)`` normal stream).  Each
-supplies the profile pairs it supports, the exact kernel mean and the
-capped-shift mean of a length-L shift, an a priori bound on ``E|S|`` over
-a ball, and Monte Carlo draws.  This module holds only the measurement
-protocol: exact routes come first, and Monte Carlo is the independent
-cross-check, streamed in fixed-size blocks (:mod:`treeskew.parallel`) so
-that memory stays bounded and results are bit-identical for a fixed seed.
+erf/quadrature closed forms and the counter-addressed normals of
+:func:`treeskew.rng.normals`).  Each supplies the profile pairs it
+supports, the exact kernel mean and the capped-shift mean of a length-L
+shift, an a priori bound on ``E|S|`` over a ball, and Monte Carlo draws.
+This module holds only the measurement protocol: exact routes come
+first, and Monte Carlo is the independent cross-check, streamed in
+fixed-size blocks (:mod:`treeskew.parallel`) so that memory stays
+bounded and results are bit-identical for a fixed seed.
 A Monte Carlo sweep is one loop over those blocks for all of its points,
 and :func:`coefficient` with ``method="mc"`` is its one-point case.  The
 system's sampler draws each block once for every point, sharing what the

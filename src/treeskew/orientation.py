@@ -39,7 +39,14 @@ from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 from ._np import np
 from .parallel import BLOCK_SIZE, block_bounds
 from .profiles import ProfileVector, UnsupportedProfileError
-from .rng import fingerprint_letters, prf_bits, prf_uniform, sample_seeds_array
+from .rng import (
+    fingerprint_letters,
+    key_fingerprints,
+    key_seeds,
+    prf_mixed,
+    prf_uniform,
+    sample_seeds_array,
+)
 from .words import Word, _edge_key, act_on_edge, edge_fingerprint, geodesic
 
 __all__ = [
@@ -290,9 +297,9 @@ def _prefix_groups(words: Iterable[Word]) -> Iterator[list[Word]]:
 def _edge_rows(group: list[Word]):
     """The distinct prefix edges of ``group``, one row each, ordered by depth.
 
-    Returns the edges' fingerprints as a column, each edge's parent row, the
-    ``(start, stop)`` rows of each depth below the first, and each word's
-    ``(row, length)``.
+    Returns the edges' keyed fingerprints (:func:`treeskew.rng.key_fingerprints`)
+    as a column, each edge's parent row, the ``(start, stop)`` rows of each
+    depth below the first, and each word's ``(row, length)``.
     """
     keys = sorted({g.letters[:j] for g in group for j in range(1, len(g) + 1)}, key=len)
     row = {key: r for r, key in enumerate(keys)}
@@ -301,7 +308,7 @@ def _edge_rows(group: list[Word]):
     vertex = {(): fingerprint_letters(())}
     for key in keys:
         vertex[key] = fingerprint_letters(key[-1:], vertex[key[:-1]])
-    fps = np.array([_edge_key(vertex[key[:-1]], key[-1]) for key in keys], dtype=np.uint64)
+    fps = key_fingerprints([_edge_key(vertex[key[:-1]], key[-1]) for key in keys])
     parents = np.array([row.get(key[:-1], -1) for key in keys])
     starts = [r for r in range(1, len(keys)) if len(keys[r]) > len(keys[r - 1])] + [len(keys)]
     members = [(row.get(g.letters, -1), len(g)) for g in group]
@@ -314,19 +321,22 @@ def cocycle_sampler(words: Iterable[Word], p: float, seed: int, kernel: Callable
     Draw ``i`` reads the orientation with seed ``sample_seed(seed, i)`` on the
     outward geodesic of the word, where every travel flag is +1, so the
     cocycle of a length-L word is ``L - 2c``, with ``c`` its edges pointing
-    toward the base vertex.  A block of at most ``BLOCK_SIZE`` draws computes
-    the seeds once, and the PRF of each distinct prefix edge of a group of
-    words once, ``_MIX_ROWS`` edge rows at a time into buffers that every
-    block reuses.  ``c`` is summed over the prefix tree one depth at a time,
-    and ``kernel`` is evaluated once on the ``L + 1`` shifts ``L - 2c`` and
-    gathered, so each word's values are bit-identical to ``kernel`` of its
-    own draws.  The values come out word by word, each a fresh array.
+    toward the base vertex.  A block of at most ``BLOCK_SIZE`` draws keys
+    its seeds once, each distinct prefix edge of a group of words is keyed
+    once for all blocks, and the PRF word of each (edge, draw) pair is mixed
+    from the two keys, ``_MIX_ROWS`` edge rows at a time into buffers that
+    every block reuses, and compared with ``ceil(p 2^53) << 11``, which is
+    ``prf_uniform < p``.  ``c`` is summed over the prefix tree one depth at
+    a time, and ``kernel`` is evaluated once on the ``L + 1`` shifts
+    ``L - 2c`` and gathered, so each word's values are bit-identical to
+    ``kernel`` of its own draws.  The values come out word by word, each a
+    fresh array.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     groups = [_edge_rows(group) for group in _prefix_groups(words)]
     tables = {L: kernel(np.arange(L, -L - 1, -2)) for L in {L for *_, ms in groups for _, L in ms}}
-    threshold = np.uint64(math.ceil(p * 2.0**53))
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     seeds = np.empty(BLOCK_SIZE, dtype=np.uint64)
     bits, scratch = np.empty((2, _MIX_ROWS, BLOCK_SIZE), dtype=np.uint64)
     rows = max(len(fps) for fps, *_ in groups)
@@ -334,12 +344,12 @@ def cocycle_sampler(words: Iterable[Word], p: float, seed: int, kernel: Callable
 
     def draws(lo: int, hi: int) -> Iterator[np.ndarray]:
         m = hi - lo
-        sample_seeds_array(seed, lo, hi, out=seeds[:m])
+        keys = key_seeds(sample_seeds_array(seed, lo, hi, out=seeds[:m]), out=seeds[:m])
         for fps, parents, levels, members in groups:
             count = counts[: len(fps), :m]
             for r in range(0, len(fps), _MIX_ROWS):
                 k = min(_MIX_ROWS, len(fps) - r)
-                x = prf_bits(seeds[:m], fps[r : r + k], bits[:k, :m], scratch[:k, :m])
+                x = prf_mixed(keys, fps[r : r + k], bits[:k, :m], scratch[:k, :m])
                 np.less(x, threshold, out=count[r : r + k])
             for start, stop in levels:
                 count[start:stop] += count[parents[start:stop]]

@@ -45,6 +45,7 @@ from .orientation import (
     skew_step,
 )
 from .profiles import ProfileVector, cauchy_kernel_by_quadrature
+from .rng import NormalStream
 from .words import Word, ball, ball_edges, ball_size, distance, parse_word, sample_word
 
 KNOWN_FAULTS = ("projection-defect-sign",)
@@ -148,14 +149,14 @@ def gaussian_profile_decay() -> Check:
 
 def gaussian_window_routes(samples: int) -> Check:
     """Gaussian-system window coefficient: erf closed form vs quadrature vs Monte Carlo."""
-    rng = np.random.default_rng(505)
+    stream = NormalStream(505)
     ok, worst_quad, worst_z = True, 0.0, 0.0
     for sigma in (0.5, 1.0, 2.0, 3.0, 5.0):
         for n in (1, 2, 5, 10, 100):
             win = ProfileVector.window(n)
             closed = win.gaussian_mean(win, sigma)[0]
             quad = interval_overlap_by_quadrature(sigma, (-n, n), (-n, n)) / (2.0 * n)
-            f = np.maximum(2.0 * n - np.abs(sigma * rng.standard_normal(samples)), 0.0) / (2.0 * n)
+            f = np.maximum(2.0 * n - np.abs(sigma * stream.take(samples)), 0.0) / (2.0 * n)
             stderr = float(f.std(ddof=1)) / math.sqrt(samples)
             ok = ok and 0.0 < closed <= 1.0 and abs(closed - quad) <= 1e-9
             ok = ok and abs(f.mean() - closed) <= _Z_LIMIT * stderr
@@ -297,12 +298,12 @@ def interval_overlap_routes(count: int) -> Check:
 
 def rank_one_hs_bound(count: int) -> Check:
     """``|Tr(T1* U T2 U*)| <= |<U eta2, eta1>|`` for rank-one ``T_i`` of unit vectors."""
-    rng = np.random.Generator(np.random.PCG64(5505))
+    stream = NormalStream(5505)
     worst = -math.inf
-    for _ in range(count):
-        dim = int(rng.integers(2, 17))
-        u = hs.random_unitary(dim, rng)
-        xi1, xi2, eta1, eta2 = (hs.random_unit_vector(dim, rng) for _ in range(4))
+    for trial in range(count):
+        dim = 2 + trial % 15
+        u = hs.random_unitary(dim, stream)
+        xi1, xi2, eta1, eta2 = (hs.random_unit_vector(dim, stream) for _ in range(4))
         value = hs.hs_coefficient(hs.rank_one(xi1, eta1), hs.rank_one(xi2, eta2), u)
         worst = max(worst, abs(value) - abs(hs.inner(u.matrix @ eta2, eta1)))
     return Check(

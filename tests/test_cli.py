@@ -360,7 +360,9 @@ class TestPinnedStdout:
     """SHA-256 of CLI stdout at small sizes, pinned so that a refactor is checked byte for byte.
 
     ``hs`` and Gaussian Monte Carlo are left out: their bits depend on
-    LAPACK and on numpy's normal sampler.  A change that means to alter
+    LAPACK and on numpy's float64 ``log1p`` and ``cos``, which the normal
+    stream uses and which numpy may dispatch to different SIMD code on
+    different CPUs.  A change that means to alter
     one of these outputs updates its digest and says why in CHANGES.md.
     """
 

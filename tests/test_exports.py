@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,40 @@ codes = [main(args + ["--out", f"{{out}}/{{i}}.csv"]) for i, args in enumerate({
 print(codes, sorted(m for m in ("treeskew.hs", "treeskew.selftest") if m in sys.modules))
 """
     assert _probe(probe, str(tmp_path)) == "[0, 0, 0] []\n"
+
+
+# every command: decay exact and Monte Carlo on both systems, window, gram, hs, selftest
+NORMAL_COMMANDS = [
+    *EXACT_COMMANDS[:4],
+    MC_COMMAND,
+    ["decay", "--system", "gaussian", *MC_COMMAND[1:]],
+    ["gram", "--max-radius", "2"],
+    ["hs", "--samples", "1000"],
+]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # every draw comes from the keyed PRF, so numpy's random package never loads
+    probe = f"""
+import contextlib, io, sys
+from treeskew.cli import main
+out = sys.argv[1]
+codes = [main(args + ["--out", f"{{out}}/{{i}}.csv"]) for i, args in enumerate({NORMAL_COMMANDS!r})]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["selftest"]))
+print(codes, "numpy" in sys.modules, "treeskew.hs" in sys.modules, "numpy.random" in sys.modules)
+"""
+    assert _probe(probe, str(tmp_path)) == f"{[0] * (len(NORMAL_COMMANDS) + 1)} True True False\n"
+
+
+def test_sources_never_name_numpy_random():
+    # numpy stays the one runtime dependency, and its random package no source's
+    pattern = re.compile(r"\b(?:np|numpy)\s*\.\s*random\b|from\s+numpy\s+import\b.*\brandom\b")
+    sources = sorted(Path(treeskew.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    named = [f"{p.name}:{i}" for p in sources
+             for i, line in enumerate(p.read_text().splitlines(), 1) if pattern.search(line)]
+    assert named == []
 
 
 @pytest.mark.parametrize(

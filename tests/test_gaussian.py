@@ -8,7 +8,9 @@ from conftest import gromov_products, random_letters
 from treeskew.gaussian import GaussianMeasure, gram_matrix, interval_overlap_by_quadrature
 from treeskew.koopman import coefficient
 from treeskew.numerics import expected_excess, gaussian_expectation, normal_pdf
+from treeskew.parallel import BLOCK_SIZE, block_bounds
 from treeskew.profiles import ProfileVector
+from treeskew.rng import normals
 from treeskew.words import Word, ball, parse_word
 
 GSYS = GaussianMeasure()
@@ -160,9 +162,25 @@ class TestGaussianShiftLaw:
         assert GSYS.shift_bound(4) == sigma * root
         assert not GSYS.draws_read_edges
         # one normal block per block of draws, scaled for every word
-        stream = np.random.Generator(np.random.PCG64(6)).standard_normal(300)
+        stream = normals(6, 0, 300)
         draws = list(GSYS.sampler([w("BABA"), w("a")], 6, lambda s: s)(0, 300))
         assert [x.tolist() for x in draws] == [(sigma * stream).tolist(), stream.tolist()]
+
+    def test_sampler_blocks_depend_on_their_bounds_alone(self):
+        # a block is normals lo..hi-1 of the seed's stream, whatever was drawn before
+        words, n = [w("BABA"), w("a"), Word.identity(2)], 2 * BLOCK_SIZE + 3
+        bounds = list(block_bounds(n))
+
+        def blocks(order):
+            draws = GSYS.sampler(words, 4, lambda s: s)
+            got = {b: [x.tobytes() for x in draws(*b)] for b in order}
+            return [got[b] for b in bounds]
+
+        in_order = blocks(bounds)
+        assert blocks(bounds[::-1]) == in_order
+        assert blocks([bounds[1], bounds[1], bounds[2], bounds[0]]) == in_order
+        z = normals(4, 0, n)
+        assert in_order[2] == [(s * z[2 * BLOCK_SIZE :]).tobytes() for s in (2.0, 1.0, 0.0)]
 
     def test_degenerate_density_rejected(self):
         # the length-0 law is a point mass at 0, and sigma < 0 is no law at all

@@ -19,6 +19,7 @@ from treeskew.hs import (
     rank_one,
     rotation_unitary,
 )
+from treeskew.rng import NormalStream
 from treeskew.selftest import run_selftest
 
 
@@ -52,16 +53,16 @@ class TestOperatorBasics:
         assert np.array_equal(op.matrix, expected)
 
     def test_rank_one_trace_and_norm(self):
-        rng = np.random.default_rng(7)
-        x = random_unit_vector(4, rng)
-        y = 2.0 * random_unit_vector(4, rng)
+        stream = NormalStream(7)
+        x = random_unit_vector(4, stream)
+        y = 2.0 * random_unit_vector(4, stream)
         op = rank_one(x, y)
         assert np.trace(op.matrix) == pytest.approx(inner(y, x))
         assert op.hs_norm() == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y))
 
     def test_rank_one_projection_is_idempotent(self):
-        rng = np.random.default_rng(8)
-        x = random_unit_vector(5, rng)
+        stream = NormalStream(8)
+        x = random_unit_vector(5, stream)
         p = rank_one(x, x).matrix
         assert np.allclose(p @ p, p, atol=1e-14)
         assert np.allclose(p, p.conj().T, atol=1e-14)
@@ -79,26 +80,26 @@ class TestOperatorBasics:
 
 class TestAdjointAction:
     def test_covariance_on_rank_one(self):
-        rng = np.random.default_rng(21)
-        u = random_unitary(6, rng)
-        x = random_unit_vector(6, rng)
-        y = random_unit_vector(6, rng)
+        stream = NormalStream(21)
+        u = random_unitary(6, stream)
+        x = random_unit_vector(6, stream)
+        y = random_unit_vector(6, stream)
         moved = adjoint_act(u, rank_one(x, y)).matrix
         direct = rank_one(u.matrix @ x, u.matrix @ y).matrix
         assert np.allclose(moved, direct, atol=1e-12)
 
     def test_preserves_hs_norm_and_trace(self):
-        rng = np.random.default_rng(22)
-        u = random_unitary(5, rng)
-        t = HSOperator(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        stream = NormalStream(22)
+        u = random_unitary(5, stream)
+        t = HSOperator(stream.take(5, 5) + 1j * stream.take(5, 5))
         moved = adjoint_act(u, t)
         assert moved.hs_norm_sq() == pytest.approx(t.hs_norm_sq(), rel=1e-12)
         assert np.trace(moved.matrix) == pytest.approx(np.trace(t.matrix), rel=1e-12)
 
     def test_dimension_mismatch(self):
-        rng = np.random.default_rng(23)
+        stream = NormalStream(23)
         with pytest.raises(ValueError, match="dimension"):
-            adjoint_act(random_unitary(3, rng), HSOperator(np.eye(4)))
+            adjoint_act(random_unitary(3, stream), HSOperator(np.eye(4)))
 
 
 class TestProjectionDefect:
@@ -118,10 +119,10 @@ class TestProjectionDefect:
         assert projection_defect(u, xi) == pytest.approx(expected, abs=1e-12)
 
     def test_range_is_zero_to_two(self):
-        rng = np.random.default_rng(31)
+        stream = NormalStream(31)
         for _ in range(50):
-            u = random_unitary(4, rng)
-            xi = random_unit_vector(4, rng)
+            u = random_unitary(4, stream)
+            xi = random_unit_vector(4, stream)
             assert -1e-12 <= projection_defect(u, xi) <= 2.0 + 1e-12
         assert projection_defect(FiniteUnitary(np.eye(4)), basis_vector(0, 4)) == 0.0
 
@@ -151,24 +152,24 @@ class TestHSCoefficient:
         assert hs_coefficient(e01, e01, u) == pytest.approx(1.0)
 
     def test_rank_one_factorization(self):
-        rng = np.random.default_rng(55)
-        for _ in range(100):
-            dim = int(rng.integers(2, 9))
-            u = random_unitary(dim, rng)
-            x1, y1 = random_unit_vector(dim, rng), random_unit_vector(dim, rng)
-            x2, y2 = random_unit_vector(dim, rng), random_unit_vector(dim, rng)
+        stream = NormalStream(55)
+        for trial in range(100):
+            dim = 2 + trial % 7
+            u = random_unitary(dim, stream)
+            x1, y1 = random_unit_vector(dim, stream), random_unit_vector(dim, stream)
+            x2, y2 = random_unit_vector(dim, stream), random_unit_vector(dim, stream)
             got = hs_coefficient(rank_one(x1, y1), rank_one(x2, y2), u)
             direct = inner(u.matrix @ y2, y1) * np.conj(inner(u.matrix @ x2, x1))
             assert abs(got - direct) <= 1e-10
 
     def test_rank_one_modulus_bound(self):
-        rng = np.random.default_rng(56)
-        for _ in range(500):
-            dim = int(rng.integers(2, 10))
-            u = random_unitary(dim, rng)
-            x1 = 1.7 * random_unit_vector(dim, rng)
-            x2 = 0.4 * random_unit_vector(dim, rng)
-            y1, y2 = random_unit_vector(dim, rng), random_unit_vector(dim, rng)
+        stream = NormalStream(56)
+        for trial in range(500):
+            dim = 2 + trial % 8
+            u = random_unitary(dim, stream)
+            x1 = 1.7 * random_unit_vector(dim, stream)
+            x2 = 0.4 * random_unit_vector(dim, stream)
+            y1, y2 = random_unit_vector(dim, stream), random_unit_vector(dim, stream)
             value = abs(hs_coefficient(rank_one(x1, y1), rank_one(x2, y2), u))
             bound = abs(inner(u.matrix @ y2, y1)) * np.linalg.norm(x1) * np.linalg.norm(x2)
             assert value <= bound + 1e-10
@@ -202,8 +203,8 @@ class TestHSCoefficient:
 
 class TestHelpers:
     def test_random_unitary_is_unitary_and_deterministic(self):
-        a = random_unitary(7, np.random.default_rng(99)).matrix
-        b = random_unitary(7, np.random.default_rng(99)).matrix
+        a = random_unitary(7, NormalStream(99)).matrix
+        b = random_unitary(7, NormalStream(99)).matrix
         assert np.array_equal(a, b)
         assert np.max(np.abs(a.conj().T @ a - np.eye(7))) <= 1e-12
 
@@ -213,12 +214,16 @@ class TestHelpers:
 
 
 def _reference_trials(count, seed):
-    """The trials drawn and evaluated one at a time, as one loop over trials."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    """The trials drawn and evaluated one at a time, as one loop over trials.
+
+    Each trial reads its normals from the stream where the last one stopped:
+    a trial of dimension d reads 2 d (d + 1) normals.
+    """
+    stream = NormalStream(seed)
     for trial in range(count):
         dim = 2 + trial % 15
-        u = random_unitary(dim, rng)
-        xi = random_unit_vector(dim, rng)
+        u = random_unitary(dim, stream)
+        xi = random_unit_vector(dim, stream)
         yield trial, dim, projection_defect(u, xi), projection_defect_formula(u, xi)
 
 
@@ -240,14 +245,14 @@ class TestStackedTrials:
     def test_single_calls_keep_the_bits_of_plain_numpy(self, seed):
         # each helper against the numpy expression it stands for, so that the
         # trial loop above is pinned to numpy's own QR, norm, vdot and sum
-        plain, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        plain, stream = NormalStream(seed), NormalStream(seed)
         for dim in range(2, 17):
-            a = plain.standard_normal((dim, dim)) + 1j * plain.standard_normal((dim, dim))
+            a = plain.take(dim, dim) + 1j * plain.take(dim, dim)
             q, r = np.linalg.qr(a)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            v = plain.standard_normal(dim) + 1j * plain.standard_normal(dim)
+            v = plain.take(dim) + 1j * plain.take(dim)
             x = v / np.linalg.norm(v)
-            u, xi = random_unitary(dim, rng), random_unit_vector(dim, rng)
+            u, xi = random_unitary(dim, stream), random_unit_vector(dim, stream)
             assert u.matrix.tobytes() == q.tobytes() and xi.tobytes() == x.tobytes()
             p = np.outer(x, x.conj())
             defect = float(np.sum(np.abs(q @ p @ q.conj().T - p) ** 2))
@@ -256,8 +261,8 @@ class TestStackedTrials:
             assert projection_defect_formula(u, xi).hex() == (2.0 * (1.0 - (c * c.conjugate()).real)).hex()
 
     def test_stacked_calls_equal_single_calls_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        pairs = [(random_unitary(6, rng), random_unit_vector(6, rng)) for _ in range(5)]
+        stream = NormalStream(5)
+        pairs = [(random_unitary(6, stream), random_unit_vector(6, stream)) for _ in range(5)]
         u = FiniteUnitary(np.stack([v.matrix for v, _ in pairs]))
         xi = np.stack([x for _, x in pairs])
         p = rank_one(xi, xi[::-1])

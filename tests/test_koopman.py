@@ -28,6 +28,7 @@ from treeskew.numerics import gaussian_expectation
 from treeskew.orientation import OrientationMeasure, cocycle_samples
 from treeskew.parallel import BLOCK_SIZE, block_moments, mean_stderr, merge_moments
 from treeskew.profiles import ProfileVector
+from treeskew.rng import normals
 from treeskew.words import Word, parse_word, shell_size
 
 OSYS = OrientationMeasure(0.7)
@@ -306,7 +307,7 @@ class TestMonteCarlo:
         if isinstance(system, OrientationMeasure):
             shifts = cocycle_samples(g, system.p, 8, n)
         else:
-            shifts = math.sqrt(len(g)) * np.random.Generator(np.random.PCG64(8)).standard_normal(n)
+            shifts = math.sqrt(len(g)) * normals(8, 0, n)
         kernel = win.correlation_array(win, shifts)
         blocks = [block_moments(kernel[lo : lo + BLOCK_SIZE]) for lo in range(0, n, BLOCK_SIZE)]
         assert len(blocks) == 3

@@ -365,13 +365,17 @@ class TestCocycleSamples:
 
     def test_edge_rows_carry_each_prefix_edge_fingerprint(self):
         # the rows extend each parent's fingerprint by one letter; they must
-        # be the fingerprints of the prefix words themselves
+        # be the prefix words' own fingerprints f, keyed as f ^ f >> 30
+        def keyed(edge):
+            f = edge_fingerprint(edge)
+            return f ^ f >> 30
+
         words = [w("abAB"), w("abAb"), w("BaBaBaBaBaBa"), *shell(3, 2)]
         fps, _, _, members = orientation._edge_rows(words)
         prefixes = {g.letters[:j]: g.prefix(j) for g in words for j in range(1, len(g) + 1)}
-        assert sorted(fps[:, 0].tolist()) == sorted(map(edge_fingerprint, prefixes.values()))
+        assert sorted(fps[:, 0].tolist()) == sorted(map(keyed, prefixes.values()))
         for (row, length), g in zip(members, words):
-            assert fps[row, 0] == edge_fingerprint(g)
+            assert fps[row, 0] == keyed(g)
 
     def test_parity_and_range(self):
         g = w("ababa")
