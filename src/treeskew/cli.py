@@ -45,6 +45,7 @@ from .koopman import (
 )
 from .orientation import OrientationMeasure
 from .profiles import ProfileVector, check_window_size
+from .rng import MASK64
 from .words import ball, ball_size
 
 EXIT_OK = 0
@@ -96,8 +97,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"window_sizes: {exc}") from exc
     if config.samples < 1000:
         raise ConfigError(f"samples must be >= 1000, got {config.samples}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+    if not 0 <= config.seed <= MASK64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {config.seed}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
     if config.method not in ("exact", "mc"):

@@ -74,10 +74,6 @@ class GaussianMeasure:
     def label(self) -> str:
         return "gaussian"
 
-    def check_support(self, xi: ProfileVector, eta: ProfileVector) -> None:
-        """Reject a profile pair that has no correlation rule."""
-        xi._pair_kind(eta)
-
     def kernel_mean(self, xi: ProfileVector, eta: ProfileVector, length: int) -> tuple[float, str]:
         """:meth:`ProfileVector.gaussian_mean` at ``sigma = sqrt(length)``, with its method."""
         return xi.gaussian_mean(eta, math.sqrt(length))

@@ -12,19 +12,19 @@ coefficient ``<U xi, xi>`` is real the right side is the familiar
 complex unitaries.  Everything is dense complex linear algebra at
 dimensions a bench can afford.
 
-The operator types and functions, all but :func:`hs_coefficient` and
-``HSOperator.hs_norm``, take leading stack axes: a ``(..., dim, dim)``
-array is a stack of matrices and a ``(..., dim)`` array a stack of
-vectors.  A stack's scalars come back as an array, and a single
-operand's as a Python scalar.  :func:`projection_defect_trials` uses this to run its
-trials in chunks of :data:`CHUNK`, one stacked pass per dimension.  A
-chunk reads all its normals with one call, at the positions of the
-counter-addressed stream (:func:`treeskew.rng.normals`) that the
-trial-by-trial draws of a :class:`treeskew.rng.NormalStream` take, and
-every stacked form used here (QR, ``@`` on stacks, sums over the last two
-axes, dot products as ``(1, n) @ (n, 1)`` products) gives each matrix the
-bits its own call gives it, so the trials are those of a loop that draws
-and evaluates one trial at a time.
+The operator types and functions, all but :func:`hs_coefficient`, take
+leading stack axes: a ``(..., dim, dim)`` array is a stack of matrices
+and a ``(..., dim)`` array a stack of vectors.  A stack's scalars come
+back as an array, and a single operand's as a Python scalar.
+:func:`projection_defect_trials` uses this to run its trials in chunks
+of :data:`CHUNK`, one stacked pass per dimension.  A chunk reads all its
+normals with one call, at the positions of the counter-addressed stream
+(:func:`treeskew.rng.normals`) that the trial-by-trial draws of a
+:class:`treeskew.rng.NormalStream` take, and every stacked form used
+here (QR, ``@`` on stacks, sums over the last two axes, dot products as
+``(1, n) @ (n, 1)`` products) gives each matrix the bits its own call
+gives it, so the trials are those of a loop that draws and evaluates one
+trial at a time.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class HSOperator:
 
     def hs_norm_sq(self) -> float | np.ndarray:
         return _unstack(np.sum(np.abs(self.matrix) ** 2, axis=(-2, -1)))
-
-    def hs_norm(self) -> float:
-        return math.sqrt(self.hs_norm_sq())
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,9 +27,13 @@ A system is the law of its shift, and each owns its rules:
 law, with draws from the edge PRF) and
 :class:`treeskew.gaussian.GaussianMeasure` (``N(0, |g|)``, with the
 erf/quadrature closed forms and the counter-addressed normals of
-:func:`treeskew.rng.normals`).  Each supplies the profile pairs it
-supports, the exact kernel mean and the capped-shift mean of a length-L
-shift, an a priori bound on ``E|S|`` over a ball, and Monte Carlo draws.
+:func:`treeskew.rng.normals`).  Each supplies its ``label``, whether its
+draws read a word's own edges (``draws_read_edges``), the exact kernel
+mean and the capped-shift mean of a length-L shift (``kernel_mean``,
+``capped_shift_mean``), an a priori bound on ``E|S|`` over a ball
+(``shift_bound``) and Monte Carlo draws (``sampler``).  Which profile
+pairs can be measured is not a system's rule: it is
+:meth:`ProfileVector.pair_kind`, the same on both systems.
 This module holds only the measurement protocol: exact routes come
 first, and Monte Carlo is the independent cross-check, streamed in
 fixed-size blocks (:mod:`treeskew.parallel`) so that memory stays
@@ -68,11 +72,11 @@ from ._np import np
 from .gaussian import GaussianMeasure
 from .orientation import OrientationMeasure
 from .parallel import block_bounds, block_moments, mean_stderr, merge_moments
-from .profiles import ProfileVector, UnsupportedProfileError, check_window_size
+from .profiles import ProfileVector, check_window_size
+from .rng import MASK64
 from .words import Shell, Word, shell, shell_size
 
 __all__ = [
-    "UnsupportedProfileError",
     "System",
     "MCBudget",
     "CoefficientEstimate",
@@ -103,6 +107,10 @@ class MCBudget:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        # every draw reads the seed modulo 2**64, so a larger seed would
+        # repeat the draws of a smaller one under another name
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,11 +180,13 @@ def coefficient(
     through its length.  ``method="mc"``
     takes the Monte Carlo route with the given budget.  The value is always
     bounded by ``xi.norm() * eta.norm()`` because the correlation kernel is
-    pointwise bounded by it.
+    pointwise bounded by it.  A pair with no correlation rule
+    (:meth:`ProfileVector.pair_kind`) raises :class:`ValueError` before
+    any draw.
     """
     _check_rank(system, g)
     _check_method(method)
-    system.check_support(xi, eta)
+    xi.pair_kind(eta)
     if method == "mc":
         return _mc_estimates(system, [(g,)], budget, lambda s: xi.correlation_array(eta, s))[0]
     seed = budget.seed if budget is not None else 0
@@ -287,7 +297,6 @@ def _check_sweep(
     if per_shell_cap is not None and per_shell_cap < 1:
         raise ValueError(f"per_shell_cap must be >= 1, got {per_shell_cap}")
     _check_method(method)
-    system.check_support(profile, profile)
     for length in range(1, max_radius + 1):
         size = shell_size(length, system.rank)
         evaluated = size if per_shell_cap is None else min(per_shell_cap, size)

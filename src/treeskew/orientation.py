@@ -38,7 +38,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Optional
 
 from ._np import np
 from .parallel import BLOCK_SIZE, block_bounds
-from .profiles import ProfileVector, UnsupportedProfileError
+from .profiles import ProfileVector
 from .rng import (
     fingerprint_letters,
     key_fingerprints,
@@ -78,7 +78,9 @@ class OrientationMeasure:
 
     As a system it owns its shift law: the shift of a length-L word is the
     binomial path sum of :func:`path_sum_law`, and Monte Carlo draws read
-    the word's own edges through :func:`cocycle_sampler`.
+    the word's own edges through :func:`cocycle_sampler`.  It measures
+    every profile pair that has a correlation rule
+    (:meth:`ProfileVector.pair_kind`), cauchy included.
     """
 
     p: float
@@ -92,20 +94,8 @@ class OrientationMeasure:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
 
-    @property
-    def basepoint(self) -> Word:
-        return Word.identity(self.rank)
-
     def label(self) -> str:
         return f"orientation(p={self.p!r})"
-
-    def check_support(self, xi: ProfileVector, eta: ProfileVector) -> None:
-        """Reject a profile pair that has no evaluation rule on this system."""
-        if "cauchy" in (xi.kind, eta.kind):
-            raise UnsupportedProfileError(
-                "the orientation system supports window, indicator and gaussian profiles only"
-            )
-        xi._pair_kind(eta)
 
     def kernel_mean(self, xi: ProfileVector, eta: ProfileVector, length: int) -> tuple[float, str]:
         """``E[K(S)]`` of the pair's correlation kernel over the path-sum law, and ``exact``."""
@@ -213,7 +203,7 @@ def path_cocycle(omega: Orientation, x: Word, y: Word) -> int:
 
 def group_cocycle(omega: Orientation, g: Word) -> int:
     """``path_cocycle`` from the base vertex to ``g``."""
-    return path_cocycle(omega, omega.measure.basepoint, g)
+    return path_cocycle(omega, Word.identity(omega.measure.rank), g)
 
 
 @dataclass(frozen=True)

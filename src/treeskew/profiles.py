@@ -16,7 +16,9 @@ correlation with itself at shift ``s`` is the overlap length
 cauchy squared norms are the closed forms ``sqrt(pi/2)`` and ``pi/2``, and
 the cauchy correlation kernel is the closed form ``2 pi / (4 + s^2)``;
 :func:`cauchy_kernel_by_quadrature` is its reference route, which the
-``selftest`` identity catalogue checks it against.
+``selftest`` identity catalogue checks it against.  Which pairs have a
+kernel is one rule, :meth:`ProfileVector.pair_kind`, the same on every
+system.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .numerics import (
 
 __all__ = [
     "ProfileVector",
-    "UnsupportedProfileError",
     "cauchy_kernel",
     "cauchy_kernel_by_quadrature",
     "cauchy_norm_sq",
@@ -53,10 +54,6 @@ _KINDS = ("window", "indicator", "gaussian", "cauchy")
 # The largest window size whose square is a finite float, since a window
 # pair scales by 1 / (2 sqrt(n1 n2)).
 _MAX_WINDOW = math.isqrt(int(sys.float_info.max))
-
-
-class UnsupportedProfileError(ValueError):
-    """Raised for (system, profile) pairs without an evaluation rule."""
 
 
 def check_window_size(n) -> int:
@@ -179,7 +176,14 @@ class ProfileVector:
         """Scale factor applied to the defining function of the profile."""
         return 1.0 if self.kind == "indicator" else 1.0 / math.sqrt(self.raw_norm_sq())
 
-    def _pair_kind(self, other: "ProfileVector") -> str:
+    def pair_kind(self, other: "ProfileVector") -> str:
+        """The correlation rule of the pair: ``interval``, ``gaussian`` or ``cauchy``.
+
+        Two window or indicator profiles correlate by interval overlap, and
+        two gaussian or two cauchy profiles by their closed-form kernel.  No
+        other pair has a rule, and it raises :class:`ValueError`.  The rule
+        depends on the pair alone, so every system measures the same pairs.
+        """
         if self.is_interval_kind and other.is_interval_kind:
             return "interval"
         if self.kind == other.kind:
@@ -197,7 +201,7 @@ class ProfileVector:
 
     def correlation(self, other: "ProfileVector", s: float) -> float:
         """Cross-correlation ``K(s) = integral h_self(t + s) h_other(t) dt``."""
-        pair = self._pair_kind(other)
+        pair = self.pair_kind(other)
         scale = self._pair_scale(other)
         if pair == "interval":
             # h_self(t + s) lives on the support shifted left by s
@@ -209,7 +213,7 @@ class ProfileVector:
 
     def correlation_array(self, other: "ProfileVector", s: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`correlation` over an array of shifts."""
-        pair = self._pair_kind(other)
+        pair = self.pair_kind(other)
         scale = self._pair_scale(other)
         s = np.asarray(s, dtype=np.float64)
         if pair == "interval":
@@ -228,7 +232,7 @@ class ProfileVector:
         """
         if sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        pair = self._pair_kind(other)
+        pair = self.pair_kind(other)
         scale = self._pair_scale(other)
         if pair == "interval":
             # X is symmetric, so the left-shift in correlation() averages

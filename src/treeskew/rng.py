@@ -5,9 +5,11 @@ tree edge is a pure function of the seed and the edge's fingerprint, which
 :func:`treeskew.words.edge_fingerprint` computes from the edge's far
 endpoint.  So an orientation never has to materialize more edges than are
 actually queried.  The scalar and the numpy paths share the same
-arithmetic and are bit-identical.  The array forms take ``out=`` (and
-:func:`prf_bits` a ``scratch=`` buffer of the same shape), so a sampler can
-reuse its block buffers instead of allocating them per block.
+arithmetic and are bit-identical.  The array forms that samplers call per
+block (:func:`sample_seeds_array`, :func:`key_seeds`, :func:`normals` and
+:func:`prf_mixed`, which also takes a ``scratch=`` buffer) take ``out=``,
+so a sampler can reuse its block buffers instead of allocating them per
+block.
 
 The finalizer's first step, ``x ^= x >> 30``, commutes with the xor of the
 PRF's two inputs, so :func:`key_seeds` and :func:`key_fingerprints` apply
@@ -111,14 +113,13 @@ def prf_mixed(seed_keys: np.ndarray, fingerprint_keys: np.ndarray, out=None, scr
     return mix64_tail(np.bitwise_xor(seed_keys, fingerprint_keys, out=out), scratch)
 
 
-def prf_bits(seeds: np.ndarray, fingerprints: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def prf_bits(seeds: np.ndarray, fingerprints: np.ndarray) -> np.ndarray:
     """The 53-bit integers ``k`` with ``prf_uniform == k * 2**-53``, as uint64.
 
     Inputs broadcast as uint64 arrays.  ``prf_uniform < p`` holds exactly
-    when ``k < ceil(p * 2**53)``, so callers can compare integers.  ``out``
-    and ``scratch``, if given, are uint64 arrays of the broadcast shape.
+    when ``k < ceil(p * 2**53)``, so callers can compare integers.
     """
-    x = prf_mixed(key_seeds(seeds), key_fingerprints(fingerprints), out, scratch)
+    x = prf_mixed(key_seeds(seeds), key_fingerprints(fingerprints))
     x >>= np.uint64(11)
     return x
 

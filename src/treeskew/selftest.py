@@ -259,9 +259,8 @@ def coefficient_exact_vs_mc(trials: int, samples: int) -> Check:
     for trial in range(trials):
         system = OrientationMeasure(0.7) if trial % 2 == 0 else GaussianMeasure()
         g = _word(rng, 5, min_len=1)
-        # every third Gaussian (odd) trial takes the cauchy pair, which the
-        # orientation system rejects
-        if trial % 6 == 3:
+        # every third trial takes the cauchy pair, on the two systems in turn
+        if trial % 3 == 0:
             profile = ProfileVector.cauchy()
         else:
             profile = ProfileVector.window(rng.randint(1, 6))

@@ -50,6 +50,7 @@ class TestConfigValidation:
             ("window_sizes", (10, 0)),
             ("samples", 999),
             ("seed", -1),
+            ("seed", 2**64),
             ("workers", 0),
             ("method", "fast"),
             ("method", "auto"),
@@ -242,11 +243,32 @@ class TestExitCodes:
     def test_rejected_request_creates_no_out_file(self, tmp_path, capsys):
         dest = tmp_path / "f.csv"
         argv = ["decay", "--out", str(dest)]
-        assert main(argv + ["--system", "orientation", "--profile", "cauchy"]) == 2
-        assert "orientation system supports" in capsys.readouterr().err
+        assert main(argv + ["--seed", "18446744073709551616"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
         assert main(argv + ["--max-radius", "0"]) == 2
         assert "max_radius must be >= 1" in capsys.readouterr().err
         assert not dest.exists()
+
+    @pytest.mark.parametrize("system", ["orientation", "gaussian"])
+    def test_seeds_the_prf_cannot_tell_apart_are_rejected(self, capsys, system):
+        # every draw reads the seed modulo 2**64, so 2**64 + s would repeat seed s
+        argv = ["decay", "--system", system, "--method", "mc", "--samples", "1000",
+                "--max-radius", "2", "--shell-cap", "2", "--seed"]
+        for seed in (2**64, 2**64 + 1):
+            assert main(argv + [str(seed)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: seed must lie in [0, 2**64)")
+        assert main(argv + [str(2**64 - 1)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(row["seed"] == str(2**64 - 1) for row in rows)
+
+    def test_orientation_cauchy_is_measured_exactly(self, capsys):
+        argv = ["decay", "--system", "orientation", "--profile", "cauchy", "--max-radius", "3"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {row["radius"] for row in rows} == {"1", "2", "3"}
+        assert all(row["method"] == "exact" for row in rows)
+        assert all(float(row["value"]) == pytest.approx(0.8) for row in rows if row["radius"] == "1")
 
     @pytest.mark.parametrize(
         "argv,field",

@@ -1,3 +1,5 @@
+import ast
+import functools
 import importlib
 import os
 import pkgutil
@@ -24,6 +26,34 @@ def test_every_export_resolves_once(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _trace_targets() -> list:
+    """The bench tracer's ``TARGETS`` table, read from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "TARGETS"
+        ]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{source} assigns no TARGETS table")
+
+
+def test_every_trace_target_resolves():
+    # the tracer reports a name it cannot find as absent, so a renamed
+    # function would silently drop its per-layer metric
+    targets = _trace_targets()
+    assert targets
+    absent = []
+    for metric, module_name, path, _ in targets:
+        try:
+            target = functools.reduce(getattr, path.split("."), importlib.import_module(module_name))
+        except (ImportError, AttributeError):
+            absent.append(metric)
+            continue
+        if not module_name.startswith("treeskew.") or not callable(target):
+            absent.append(metric)
+    assert not absent, f"trace targets that resolve to no function: {absent}"
 
 
 def _probe(code: str, *args: str) -> str:

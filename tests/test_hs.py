@@ -58,7 +58,7 @@ class TestOperatorBasics:
         y = 2.0 * random_unit_vector(4, stream)
         op = rank_one(x, y)
         assert np.trace(op.matrix) == pytest.approx(inner(y, x))
-        assert op.hs_norm() == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y))
+        assert math.sqrt(op.hs_norm_sq()) == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y))
 
     def test_rank_one_projection_is_idempotent(self):
         stream = NormalStream(8)

@@ -16,7 +16,6 @@ from treeskew.gaussian import GaussianMeasure
 from treeskew.koopman import (
     CoefficientEstimate,
     MCBudget,
-    UnsupportedProfileError,
     almost_invariant_sweep,
     coefficient,
     decay_sweep,
@@ -98,6 +97,11 @@ class TestTypes:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             MCBudget(samples=0)
+        # every draw reads the seed modulo 2**64
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ValueError, match="seed"):
+                MCBudget(seed=seed)
+        assert MCBudget(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -178,15 +182,42 @@ class TestExactRouting:
         assert est.method == "quadrature"
         assert 0.0 < est.value < 1.0
 
-    def test_orientation_rejects_cauchy(self):
+    def test_orientation_cauchy_is_the_binomial_mean(self):
+        # the unit cauchy kernel is 4 / (4 + s^2): 2 pi / (4 + s^2) over the raw norm pi / 2
         prof = ProfileVector.cauchy()
-        win = ProfileVector.window(2)
-        with pytest.raises(UnsupportedProfileError):
-            coefficient(OSYS, w("a"), prof, prof)
-        with pytest.raises(UnsupportedProfileError):
-            coefficient(OSYS, w("a"), win, prof)
-        with pytest.raises(UnsupportedProfileError):
-            decay_sweep(OSYS, prof, 3)
+        kernel = lambda s: 4.0 / (4.0 + s * s)
+        assert coefficient(OSYS, w("a"), prof, prof).value == pytest.approx(0.8, rel=1e-15)
+        assert coefficient(OSYS, w("ab"), prof, prof).value == pytest.approx(0.71, rel=1e-15)
+        # a length-1 shift is +-1, so its draws agree and only rounding separates the routes
+        budget, rounding = MCBudget(20_000, 3), 1e-12
+        for p in (0.3, 0.7):
+            system = OrientationMeasure(p)
+            for g in (w("a"), w("ab"), w("abAb")):
+                exact = coefficient(system, g, prof, prof)
+                assert exact.method == "exact"
+                assert exact.value == pytest.approx(binomial_mean(len(g), p, kernel), rel=1e-14)
+                mc = coefficient(system, g, prof, prof, budget, method="mc")
+                assert abs(mc.value - exact.value) <= 4.0 * mc.stderr + rounding
+            curve = decay_sweep(system, prof, 3, per_shell_cap=2, budget=budget, method="mc")
+            assert len(curve.points) == 6
+            for pt in curve.points:
+                want = binomial_mean(pt.radius, p, kernel)
+                assert abs(pt.estimate.value - want) <= 4.0 * pt.estimate.stderr + rounding
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_pairs_without_a_rule_are_rejected_before_sampling(self, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo blocks ran before the profile pair check")
+
+        monkeypatch.setattr(koopman, "block_bounds", refuse)
+        pairs = [
+            (ProfileVector.gaussian(), ProfileVector.cauchy()),
+            (ProfileVector.window(2), ProfileVector.gaussian()),
+        ]
+        for system in (OSYS, GSYS):
+            for xi, eta in pairs:
+                with pytest.raises(ValueError, match="no correlation rule"):
+                    coefficient(system, w("ab"), xi, eta, MCBudget(50_000, 0), method=method)
 
     def test_rank_mismatch(self):
         win = ProfileVector.window(2)

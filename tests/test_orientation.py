@@ -54,9 +54,6 @@ class TestMeasure:
         with pytest.raises(ValueError):
             OrientationMeasure(p)
 
-    def test_basepoint(self):
-        assert OrientationMeasure(0.6, rank=3).basepoint == Word.identity(3)
-
     def test_shift_law_rules(self):
         # every rule reads the binomial path-sum law of a length-L word, and
         # draws read the word's own edges
